@@ -288,28 +288,26 @@ def check_trajectory(traj: np.ndarray, m: Model, s0: tuple[int, int],
 
 
 def check_simulate(outdir: Path, m: Model, s0: tuple[int, int], n: int,
-                   horizon: int, p_comm: np.ndarray, label: str,
-                   V: np.ndarray | None) -> list[str]:
-    """``p_comm`` is the policy's comm probability per state; ``V`` is the
-    solved grid when the simulated policy is the optimal one."""
+                   horizon: int, policy: np.ndarray, V: np.ndarray) -> list[str]:
+    """Check a ``simulate --policy optimal`` run against the solved
+    ``policy`` and value grid ``V``."""
     report = json.loads((outdir / "simulate_report.json").read_text())
     errors = []
     if (report["policy_source"], report["n_trajectories"],
-            report["horizon"]) != (label, n, horizon):
+            report["horizon"]) != ("optimal", n, horizon):
         errors.append("simulate_report.json does not describe the requested run")
     bias = truncation_bound(m, horizon)
     if abs(report["truncation_bias_bound"] - bias) > 1e-12 * bias:
         errors.append(f"truncation bound {report['truncation_bias_bound']} != {bias}")
-    v_pi = float(policy_value(p_comm, m, transition_table(m))[s0])
+    v_pi = float(policy_value(policy, m, transition_table(m))[s0])
     budget = bias + 4.0 * report["std_error"]
     if not abs(report["mean"] - v_pi) <= budget:
         errors.append(f"simulate mean {report['mean']:.6f} is further than "
                       f"{budget:.3e} from the policy value {v_pi:.6f}")
-    if V is not None and report.get("v_star_s0") != float(V[s0]):
+    if report.get("v_star_s0") != float(V[s0]):
         errors.append("simulate_report.json v_star_s0 is not value.csv at s0")
-    grid = p_comm.astype(np.int64) if V is not None else None
     errors += check_trajectory(read_trajectory(outdir / "trajectory.csv"), m,
-                               s0, horizon, grid)
+                               s0, horizon, policy.astype(np.int64))
     return errors
 
 

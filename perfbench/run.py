@@ -2,7 +2,7 @@
 
 Run from the root of a source checkout:
 
-    python3 perfbench/run.py --workload reference --seed 1 --seconds 30 --trace 0
+    python3 perfbench/run.py --workload reference --seed 1 --seconds 55 --trace 0
 
 One process runs one workload. It repeats rounds of the four commands,
 called in process through ``aoi_isac.cli.main`` in that order, until
@@ -13,16 +13,18 @@ artifacts are checked by ``checks.py``, which does not use the program, and
 the checks are shown to reject three wrong answers.
 
 With ``--trace 0`` the last line is a JSON object with the end-to-end
-metrics: each command's wall time and that of the whole round
-(``pipeline_s``) as means over the timed rounds, the process's peak
+metrics: the upper quartile over the timed rounds of each command's wall
+time and of the whole round (``pipeline_p75_s``), the process's peak
 resident set, and ``setup_s``, the median time a fresh interpreter takes
-to import ``aoi_isac.cli``. Means, not medians, because the host alternates
-between a fast and a slow level in stretches of seconds: the median round
-of a run lands on either level, while the mean moves with the share of
-time spent on each (see README.md). With ``--trace 1`` rounds alternate
-between untraced and traced; the traced ones record spans (``spans.py``)
-and give the per-layer metrics as means over traced rounds, and
-``trace.overhead_s`` is the traced minus the untraced mean round.
+to import ``aoi_isac.cli``. The upper quartile, not the mean or the median,
+because the host runs at a steady slow level broken by fast stretches of
+some seconds: the mean and the median move with the share of a run that
+falls in fast stretches, while the upper quartile stays on the slow level
+unless fast stretches fill three quarters of the run (see README.md). With
+``--trace 1`` rounds alternate between untraced and traced; the traced
+ones record spans (``spans.py``) and give the per-layer metrics as means
+over traced rounds, and ``trace.overhead_s`` is the traced minus the
+untraced mean round.
 
 Exit codes: 0 when the run completed (the JSON line says whether the
 outputs were correct), 2 when the checkout holds no program source.
@@ -51,7 +53,6 @@ import traceback  # noqa: E402
 from dataclasses import dataclass  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-import numpy as np  # noqa: E402
 
 HERE = Path(__file__).resolve().parent
 ROOT = HERE.parent
@@ -72,18 +73,7 @@ class Workload:
     horizon: int
     axis: str
     values: tuple[float, ...]
-    p_random: float | None = None   # simulate random_bernoulli:p, else optimal
     s0: tuple[int, int] = (1, 1)
-
-    @property
-    def policy(self) -> str:
-        return "optimal" if self.p_random is None else f"random_bernoulli:{self.p_random}"
-
-    def p_comm(self, policy_grid: np.ndarray) -> np.ndarray:
-        """The simulated policy's comm probability in every state."""
-        if self.p_random is None:
-            return policy_grid
-        return np.full(policy_grid.shape, self.p_random)
 
 
 WORKLOADS = {
@@ -93,18 +83,14 @@ WORKLOADS = {
     # 90,601 states: per-sweep grid gathers, 1.7 MB CSVs, 3,984 violations
     "large_grid": Workload(Model(**REFERENCE | {"a_max": 300}), n=1000,
                            horizon=400, axis="c_c", values=(0.1, 0.4)),
-    # 21,933 sweeps of a small grid, and few long randomised trajectories
-    "slow_contraction": Workload(Model(**REFERENCE | {"gamma": 0.999}), n=1000,
-                                 horizon=10_000, axis="gamma",
-                                 values=(0.99, 0.995, 0.999), p_random=0.5),
 }
 COMMANDS = ("solve", "verify", "simulate", "sweep")
 # One round. verify takes milliseconds on two workloads, so it runs after
 # each other command, for three samples a round.
 ROUND = ("solve", "verify", "simulate", "verify", "sweep", "verify")
-END_TO_END_UNITS = {"setup_s": "s", "solve_s": "s", "verify_s": "s",
-                    "simulate_s": "s", "sweep_s": "s", "pipeline_s": "s",
-                    "peak_rss_mb": "MB"}
+END_TO_END_UNITS = {"setup_s": "s", "solve_p75_s": "s", "verify_p75_s": "s",
+                    "simulate_p75_s": "s", "sweep_p75_s": "s",
+                    "pipeline_p75_s": "s", "peak_rss_mb": "MB"}
 PER_LAYER_UNITS = {
     "solver.value_iteration_s": "s", "solver.sweeps": "count",
     "solver.sweep_us": "us", "model.q_grids_us": "us",
@@ -125,7 +111,7 @@ def command_argv(w: Workload, outdir: Path, seed: int) -> dict[str, list[str]]:
     return {
         "solve": ["solve", *common],
         "verify": ["verify", *common],
-        "simulate": ["simulate", f"--policy={w.policy}", *common],
+        "simulate": ["simulate", "--policy=optimal", *common],
         "sweep": ["sweep", f"--axis={w.axis}",
                   "--values=" + ",".join(repr(v) for v in w.values), *common],
     }
@@ -172,8 +158,7 @@ def check_outputs(w: Workload, outdir: Path, codes: dict[str, int]) -> list[str]
     errors += checks.check_sweep(outdir, w.axis, list(w.values), w.model,
                                  solved["tau"], codes["sweep"])
     errors += checks.check_simulate(
-        outdir, w.model, w.s0, w.n, w.horizon, w.p_comm(solved["policy"]),
-        w.policy, solved["V"] if w.p_random is None else None)
+        outdir, w.model, w.s0, w.n, w.horizon, solved["policy"], solved["V"])
     report = json.loads((outdir / "solve_report.json").read_text())
     traj = checks.read_trajectory(outdir / "trajectory.csv")
     errors += checks.self_test(solved, traj, w.model, w.s0, w.horizon, report)
@@ -189,18 +174,17 @@ def probes(w: Workload, modules: dict, outdir: Path, seed: int) -> dict[str, flo
     t0 = time.perf_counter()
     solver.evaluate_policy(grid, params)
     t1 = time.perf_counter()
-    if w.p_random is None:
-        policy = grid
-    else:
-        policy = sim.baseline_policy("random_bernoulli", params, p=w.p_random)
+    sim.estimate_value(grid, params, w.s0, w.n, 1, seed)
     t2 = time.perf_counter()
-    sim.estimate_value(policy, params, w.s0, w.n, 1, seed)
-    t3 = time.perf_counter()
-    return {"solver.evaluate_policy_s": t1 - t0, "sim.streams_s": t3 - t2}
+    return {"solver.evaluate_policy_s": t1 - t0, "sim.streams_s": t2 - t1}
 
 
 def mean_of(rows: list[dict], key: str) -> float:
     return statistics.fmean(r[key] for r in rows)
+
+
+def upper_quartile(values: list[float]) -> float:
+    return statistics.quantiles(values, n=4, method="inclusive")[2]
 
 
 def main(argv=None) -> int:
@@ -307,9 +291,9 @@ def main(argv=None) -> int:
                                        - mean_of(rounds, "pipeline_s"))
         units = PER_LAYER_UNITS
     else:
-        metrics = {k: mean_of(rounds, k) for k in END_TO_END_UNITS
-                   if k not in ("setup_s", "verify_s", "peak_rss_mb")}
-        metrics["verify_s"] = statistics.fmean(verify_times)
+        metrics = {f"{c}_p75_s": upper_quartile([r[f"{c}_s"] for r in rounds])
+                   for c in ("solve", "simulate", "sweep", "pipeline")}
+        metrics["verify_p75_s"] = upper_quartile(verify_times)
         metrics["setup_s"] = statistics.median(setup)
         metrics["peak_rss_mb"] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
         units = END_TO_END_UNITS
