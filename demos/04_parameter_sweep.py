@@ -7,9 +7,10 @@ sensing link reshape it while keeping it a nondecreasing staircase — the
 threshold structure is robust across the whole sweep.
 """
 
-from aoi_isac import (ModelParams, check_threshold_monotone,
-                      default_model_params, extract_thresholds,
-                      value_iteration)
+from dataclasses import replace
+
+from aoi_isac import (check_threshold_monotone, default_model_params,
+                      extract_thresholds, value_iteration)
 
 SWEEPS = [("c_c", (0.05, 0.1, 0.2, 0.4)),
           ("gamma", (0.5, 0.9, 0.95)),
@@ -18,13 +19,10 @@ SWEEPS = [("c_c", (0.05, 0.1, 0.2, 0.4)),
 
 def main():
     base = default_model_params()
-    fields = ("lambda_s", "lambda_c", "c_s", "c_c", "gamma", "a_max")
     for axis, values in SWEEPS:
         print(f"sweep {axis}:")
         for value in values:
-            kwargs = {f: getattr(base, f) for f in fields}
-            kwargs[axis] = value
-            params = ModelParams(**kwargs)
+            params = replace(base, **{axis: value})
             V, policy, report = value_iteration(params, tol=1e-9)
             tau, sc_ok = extract_thresholds(policy)
             monotone = check_threshold_monotone(tau).passed

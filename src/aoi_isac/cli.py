@@ -12,6 +12,7 @@ Exit codes: 0 success, 2 invalid config or input, 3 non-convergence,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -21,7 +22,6 @@ import numpy as np
 
 from . import gridio, sim, solver, structure
 from .config import RunConfig, build_config, load_config_file
-from .model import ModelParams
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 2
@@ -234,14 +234,6 @@ def cmd_simulate(cfg: RunConfig, policy_source: str, policy_file: str | None) ->
     return EXIT_OK
 
 
-def _sweep_model(cfg: RunConfig, axis: str, value: float) -> ModelParams:
-    kwargs = dict(lambda_s=cfg.model.lambda_s, lambda_c=cfg.model.lambda_c,
-                  c_s=cfg.model.c_s, c_c=cfg.model.c_c, gamma=cfg.model.gamma,
-                  a_max=cfg.model.a_max)
-    kwargs[axis] = value
-    return ModelParams(**kwargs)
-
-
 def cmd_sweep(cfg: RunConfig, axis: str, values: list[float]) -> int:
     if axis not in SWEEP_AXES:
         print(f"error: sweep axis must be one of {SWEEP_AXES}, got {axis!r}",
@@ -255,7 +247,7 @@ def cmd_sweep(cfg: RunConfig, axis: str, values: list[float]) -> int:
     for value in values:
         row = {"value": value}
         try:
-            params = _sweep_model(cfg, axis, value)
+            params = dataclasses.replace(cfg.model, **{axis: value})
         except ValueError as exc:
             print(f"sweep: {axis}={value} rejected: {exc}", file=sys.stderr)
             row["status"] = "rejected"

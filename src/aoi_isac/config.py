@@ -9,7 +9,7 @@ Every validation error names the offending dotted field.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 from .model import ModelParams
@@ -78,27 +78,7 @@ class RunConfig:
         self.output.validate()
 
     def to_dict(self) -> dict:
-        return {
-            "model": {
-                "lambda_s": self.model.lambda_s,
-                "lambda_c": self.model.lambda_c,
-                "c_s": self.model.c_s,
-                "c_c": self.model.c_c,
-                "gamma": self.model.gamma,
-                "a_max": self.model.a_max,
-            },
-            "solver": {"tol": self.solver.tol, "max_iter": self.solver.max_iter},
-            "sim": {
-                "n": self.sim.n,
-                "horizon": self.sim.horizon,
-                "seed": self.sim.seed,
-                "s0": list(self.sim.s0),
-            },
-            "output": {
-                "directory": self.output.directory,
-                "formats": list(self.output.formats),
-            },
-        }
+        return asdict(self)
 
 
 _SECTIONS = ("model", "solver", "sim", "output")
@@ -133,11 +113,8 @@ def build_config(file_values: dict | None = None,
             raise ValueError(f"unknown config field {dotted}")
         values[section][key] = val
 
-    m = values["model"]
     try:
-        model = ModelParams(lambda_s=m["lambda_s"], lambda_c=m["lambda_c"],
-                            c_s=m["c_s"], c_c=m["c_c"], gamma=m["gamma"],
-                            a_max=m["a_max"])
+        model = ModelParams(**values["model"])
     except ValueError as exc:
         raise ValueError(f"model.{exc}") from None
     cfg = RunConfig(

@@ -19,6 +19,7 @@ and the objective is the expected discounted sum of stage costs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -59,13 +60,17 @@ class ModelParams:
             raise ValueError(f"lambda_s must be in [0, 1], got {self.lambda_s}")
         if not 0.0 <= self.lambda_c <= 1.0:
             raise ValueError(f"lambda_c must be in [0, 1], got {self.lambda_c}")
-        if self.c_s < 0.0:
-            raise ValueError(f"c_s must be >= 0, got {self.c_s}")
-        if self.c_c < 0.0:
-            raise ValueError(f"c_c must be >= 0, got {self.c_c}")
+        if not 0.0 <= self.c_s < math.inf:
+            raise ValueError(f"c_s must be finite and >= 0, got {self.c_s}")
+        if not 0.0 <= self.c_c < math.inf:
+            raise ValueError(f"c_c must be finite and >= 0, got {self.c_c}")
         if not 0.0 <= self.gamma < 1.0:
             raise ValueError(f"gamma must be in [0, 1), got {self.gamma}")
-        if int(self.a_max) != self.a_max or self.a_max < 2:
+        try:
+            integral = int(self.a_max) == self.a_max
+        except (OverflowError, ValueError):  # inf, nan
+            integral = False
+        if not integral or self.a_max < 2:
             raise ValueError(f"a_max must be an integer >= 2, got {self.a_max}")
 
     @property
@@ -141,6 +146,24 @@ def delta(V: np.ndarray, state: State, params: ModelParams) -> float:
     return q_value(V, state, Action.SENSE, params) - q_value(V, state, Action.COMM, params)
 
 
+def dynamics(alpha_s, alpha_b, params: ModelParams):
+    """The transition table and the stage cost, vectorised.
+
+    alpha_s and alpha_b are integer ages (or arrays of them) that broadcast
+    together. Returns (succ, fail, cost): succ[a] is the successor state
+    (alpha_s', alpha_b') after action a succeeds, fail the successor after
+    either action fails, and cost[a] the stage cost of action a, with a
+    indexing Action. Each component keeps the shape of the age array it is
+    computed from, so gathers such as V[fail] broadcast only where they
+    need to. Entries agree with ``transition`` and ``stage_cost``.
+    """
+    up_s = np.minimum(np.add(alpha_s, 1), params.a_max)
+    up_b = np.minimum(np.add(alpha_b, 1), params.a_max)
+    succ = ((up_s, 1), (up_b, up_b))
+    cost = (np.add(alpha_s, params.c_s), np.add(alpha_s, params.c_c))
+    return succ, (up_s, up_b), cost
+
+
 def q_grids(V: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Both action-value grids over the full state grid, vectorised.
 
@@ -150,18 +173,12 @@ def q_grids(V: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]
     V = np.asarray(V, dtype=float)
     if V.shape != params.grid_shape:
         raise ValueError(f"value grid shape {V.shape} != {params.grid_shape}")
-    n = params.n_ages
-    up1 = np.minimum(np.arange(n) + 1, params.a_max)  # age + 1, saturated
-    alpha_s = np.arange(n, dtype=float)[:, None]
-
-    v_fail = V[np.ix_(up1, up1)]         # (alpha_s+1, alpha_b+1)
-    v_sense = V[up1, 1][:, None]         # (alpha_s+1, 1)
-    v_comm = V[up1, up1][None, :]        # (alpha_b+1, alpha_b+1)
-
-    q_sense = alpha_s + params.c_s + params.gamma * (
-        params.lambda_s * v_sense + (1.0 - params.lambda_s) * v_fail)
-    q_comm = alpha_s + params.c_c + params.gamma * (
-        params.lambda_c * v_comm + (1.0 - params.lambda_c) * v_fail)
+    ages = np.arange(params.n_ages)
+    succ, fail, cost = dynamics(ages[:, None], ages[None, :], params)
+    v_fail = V[fail]
+    q_sense, q_comm = (
+        cost[a] + params.gamma * (p * V[succ[a]] + (1.0 - p) * v_fail)
+        for a, p in ((Action.SENSE, params.lambda_s), (Action.COMM, params.lambda_c)))
     return q_sense, q_comm
 
 

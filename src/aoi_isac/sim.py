@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Action, ModelParams, State
+from .model import Action, ModelParams, State, dynamics
 
 _OUTCOME_STREAM, _ACTION_STREAM = 0, 1
 
@@ -88,22 +88,73 @@ def truncation_bias_bound(params: ModelParams, horizon: int) -> float:
     return params.gamma ** horizon * params.max_stage_cost / (1.0 - params.gamma)
 
 
-def _policy_uses_action_stream(policy) -> bool:
-    return bool(getattr(policy, "uses_action_stream", False))
+def _streams(policy, seed, keys: list[tuple], horizon: int):
+    """Outcome and action uniforms, one row per trajectory, for the
+    trajectories seeded by the descendants of seed at the spawn-key suffixes
+    in keys (``()`` is seed itself); the action rows only for policies that
+    use them, else None.
 
+    Each seed sequence is built from the root's entropy and spawn key. That
+    equals a fresh ``spawn`` but never advances a caller's SeedSequence, so
+    passing the same object again gives the same streams.
+    """
+    root = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
 
-def _trajectory_streams(child: np.random.SeedSequence, horizon: int,
-                        need_action_stream: bool):
-    out_ss, act_ss = child.spawn(2)
-    u_out = np.random.default_rng(out_ss).random(horizon)
-    u_act = np.random.default_rng(act_ss).random(horizon) if need_action_stream else None
+    def stream(key, which):
+        ss = np.random.SeedSequence(root.entropy, pool_size=root.pool_size,
+                                    spawn_key=root.spawn_key + key + (which,))
+        return np.random.default_rng(ss).random(horizon)
+
+    u_out = np.empty((len(keys), horizon))
+    u_act = (np.empty((len(keys), horizon))
+             if getattr(policy, "uses_action_stream", False) else None)
+    for i, key in enumerate(keys):
+        u_out[i] = stream(key, _OUTCOME_STREAM)
+        if u_act is not None:
+            u_act[i] = stream(key, _ACTION_STREAM)
     return u_out, u_act
 
 
-def _as_seed_sequence(seed) -> np.random.SeedSequence:
-    if isinstance(seed, np.random.SeedSequence):
-        return seed
-    return np.random.SeedSequence(seed)
+def _lockstep(policy, params: ModelParams, s0: State, u_out: np.ndarray,
+              u_act: np.ndarray | None, record: bool):
+    """Run len(u_out) trajectories from s0 in lockstep through the dynamics.
+
+    u_out (and u_act, for policies that use it) hold one row of per-slot
+    uniforms per trajectory. Returns the discounted costs and, when record
+    is set, the (horizon+1, 2, n) states and (horizon, n) actions and
+    outcomes; otherwise None in their place. Each trajectory's arithmetic
+    depends only on its own row, so a trajectory run alone or in any batch
+    comes out bit-identical.
+    """
+    n, horizon = u_out.shape
+    grid = policy if isinstance(policy, np.ndarray) else None
+    S = np.full(n, s0[0])
+    B = np.full(n, s0[1])
+    cost = np.zeros(n)
+    gamma_pow = 1.0
+    if record:
+        states = np.empty((horizon + 1, 2, n), dtype=int)
+        actions = np.empty((horizon, n), dtype=np.int8)
+        outcomes = np.empty((horizon, n), dtype=np.int8)
+        states[0] = S, B
+    for k in range(horizon):
+        if grid is not None:
+            A = grid[S, B]
+        else:
+            A = policy.actions(S, B, k, None if u_act is None else u_act[:, k])
+        comm = A == Action.COMM
+        success = u_out[:, k] < np.where(comm, params.lambda_c, params.lambda_s)
+        succ, fail, g = dynamics(S, B, params)
+        cost += gamma_pow * np.where(comm, g[Action.COMM], g[Action.SENSE])
+        gamma_pow *= params.gamma
+        # per age: the chosen action's success successor, else the fail one
+        S, B = (np.where(success, np.where(comm, c, s), f)
+                for s, c, f in zip(succ[Action.SENSE], succ[Action.COMM], fail))
+        if record:
+            actions[k] = A
+            outcomes[k] = success
+            states[k + 1] = S, B
+    return cost, (states, actions, outcomes) if record else None
 
 
 def rollout(policy, params: ModelParams, s0: State, horizon: int,
@@ -120,83 +171,11 @@ def rollout(policy, params: ModelParams, s0: State, horizon: int,
     if not (0 <= a_s <= params.a_max and 0 <= a_b <= params.a_max):
         raise ValueError(f"s0 {s0!r} outside the grid [0, {params.a_max}]^2")
 
-    child = _as_seed_sequence(seed)
-    u_out, u_act = _trajectory_streams(child, horizon, _policy_uses_action_stream(policy))
-
-    grid = policy if isinstance(policy, np.ndarray) else None
-    cap = params.a_max
-    lam_s, lam_c = params.lambda_s, params.lambda_c
-    c_s, c_c = params.c_s, params.c_c
-
-    states = np.empty((horizon + 1, 2), dtype=int)
-    actions = np.empty(horizon, dtype=np.int8)
-    outcomes = np.empty(horizon, dtype=np.int8)
-    states[0] = (a_s, a_b)
-    cost = 0.0
-    gamma_pow = 1.0
-    for k in range(horizon):
-        if grid is not None:
-            act = int(grid[a_s, a_b])
-        else:
-            act = int(policy.actions(a_s, a_b, k,
-                                     u_act[k] if u_act is not None else None))
-        success = u_out[k] < (lam_c if act == Action.COMM else lam_s)
-        cost += gamma_pow * (a_s + (c_c if act == Action.COMM else c_s))
-        gamma_pow *= params.gamma
-
-        if success and act == Action.COMM:
-            nb = min(a_b + 1, cap)
-            a_s, a_b = nb, nb
-        elif success:
-            a_s, a_b = min(a_s + 1, cap), 1
-        else:
-            a_s, a_b = min(a_s + 1, cap), min(a_b + 1, cap)
-        actions[k] = act
-        outcomes[k] = 1 if success else 0
-        states[k + 1] = (a_s, a_b)
-
-    return Trajectory(states, actions, outcomes, cost, horizon)
-
-
-def _batch_costs(policy, params: ModelParams, s0: State, n: int, horizon: int,
-                 root: np.random.SeedSequence) -> np.ndarray:
-    """Discounted costs of n trajectories, computed in lockstep.
-
-    Arithmetic per trajectory matches ``rollout`` operation for operation,
-    so the results are bit-identical to n individual rollouts.
-    """
-    children = root.spawn(n)
-    need_act = _policy_uses_action_stream(policy)
-    u_out = np.empty((n, horizon))
-    u_act = np.empty((n, horizon)) if need_act else None
-    for i, child in enumerate(children):
-        o, a = _trajectory_streams(child, horizon, need_act)
-        u_out[i] = o
-        if need_act:
-            u_act[i] = a
-
-    grid = policy if isinstance(policy, np.ndarray) else None
-    cap = params.a_max
-    S = np.full(n, s0[0])
-    B = np.full(n, s0[1])
-    cost = np.zeros(n)
-    gamma_pow = 1.0
-    for k in range(horizon):
-        if grid is not None:
-            A = grid[S, B]
-        else:
-            A = policy.actions(S, B, k, u_act[:, k] if need_act else None)
-        comm = A == Action.COMM
-        success = u_out[:, k] < np.where(comm, params.lambda_c, params.lambda_s)
-        cost += gamma_pow * (S + np.where(comm, params.c_c, params.c_s))
-        gamma_pow *= params.gamma
-
-        sp1 = np.minimum(S + 1, cap)
-        bp1 = np.minimum(B + 1, cap)
-        comm_success = success & comm
-        S = np.where(comm_success, bp1, sp1)
-        B = np.where(success, np.where(comm, bp1, 1), bp1)
-    return cost
+    u_out, u_act = _streams(policy, seed, [()], horizon)
+    cost, (states, actions, outcomes) = _lockstep(policy, params, s0, u_out,
+                                                  u_act, record=True)
+    return Trajectory(states[:, :, 0], actions[:, 0], outcomes[:, 0],
+                      float(cost[0]), horizon)
 
 
 def estimate_value(policy, params: ModelParams, s0: State, n: int,
@@ -209,7 +188,8 @@ def estimate_value(policy, params: ModelParams, s0: State, n: int,
     """
     if n < 2:
         raise ValueError(f"n must be >= 2, got {n}")
-    costs = _batch_costs(policy, params, s0, n, horizon, _as_seed_sequence(seed))
+    u_out, u_act = _streams(policy, seed, [(i,) for i in range(n)], horizon)
+    costs, _ = _lockstep(policy, params, s0, u_out, u_act, record=False)
     if np.ptp(costs) == 0.0:
         std_error = 0.0  # identical samples: exactly zero spread
     else:

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Action, ModelParams, delta_grid, q_grids
+from .model import Action, ModelParams, delta_grid, dynamics, q_grids
 
 
 @dataclass
@@ -105,24 +105,32 @@ def extract_thresholds(policy: np.ndarray) -> tuple[np.ndarray, bool]:
     return tau, single_crossing_ok
 
 
-def _flat_dynamics(params: ModelParams):
-    """Flat-index successor tables shared by the evaluation-based solvers.
+def _linear_systems(policies: np.ndarray, params: ModelParams):
+    """(I - gamma P, g) of a batch of policies, one flattened policy per row.
 
-    Returns (succ_sense, succ_comm, succ_fail, g_sense, g_comm) where the
-    succ arrays hold the flat index of the success successor per action (the
-    fail successor is action-independent) and g_* the stage costs.
+    policies has shape (B, n_states); returns A of shape (B, n_states,
+    n_states) and g of shape (B, n_states), so that each policy's value is
+    the solution of A[k] v = g[k].
     """
     n = params.n_ages
-    ids = np.arange(n * n).reshape(n, n)
-    i, j = np.meshgrid(np.arange(n), np.arange(n), indexing="ij")
-    ip1 = np.minimum(i + 1, params.a_max)
-    jp1 = np.minimum(j + 1, params.a_max)
-    succ_sense = ids[ip1, np.ones_like(jp1)].ravel()
-    succ_comm = ids[jp1, jp1].ravel()
-    succ_fail = ids[ip1, jp1].ravel()
-    g_sense = (i + params.c_s).ravel().astype(float)
-    g_comm = (i + params.c_c).ravel().astype(float)
-    return succ_sense, succ_comm, succ_fail, g_sense, g_comm
+    states = np.arange(n * n)
+    succ, fail, cost = dynamics(states // n, states % n, params)
+    succ_flat = [s * n + b for s, b in succ]
+
+    comm = np.asarray(policies) == Action.COMM
+    p = np.where(comm, params.lambda_c, params.lambda_s)
+    succ_idx = np.where(comm, succ_flat[Action.COMM], succ_flat[Action.SENSE])
+    g = np.where(comm, cost[Action.COMM], cost[Action.SENSE])
+
+    batch = len(comm)
+    b_idx = np.arange(batch)[:, None]
+    A = np.zeros((batch, n * n, n * n))
+    A[:, states, states] = 1.0
+    # success and fail successors can coincide at saturation; the two
+    # subtractions are separate statements, so both land
+    A[b_idx, states, succ_idx] -= params.gamma * p
+    A[b_idx, states, fail[0] * n + fail[1]] -= params.gamma * (1.0 - p)
+    return A, g
 
 
 def evaluate_policy(policy: np.ndarray, params: ModelParams,
@@ -137,34 +145,24 @@ def evaluate_policy(policy: np.ndarray, params: ModelParams,
     policy = np.asarray(policy)
     if policy.shape != params.grid_shape:
         raise ValueError(f"policy shape {policy.shape} != {params.grid_shape}")
-    n_states = policy.size
     if method == "auto":
-        method = "direct" if n_states <= 2500 else "iterative"
-
-    succ_sense, succ_comm, succ_fail, g_sense, g_comm = _flat_dynamics(params)
-    act = policy.ravel()
-    comm = act == Action.COMM
-    p = np.where(comm, params.lambda_c, params.lambda_s)
-    succ = np.where(comm, succ_comm, succ_sense)
-    g = np.where(comm, g_comm, g_sense)
-    rows = np.arange(n_states)
+        method = "direct" if policy.size <= 2500 else "iterative"
 
     if method == "direct":
-        A = np.eye(n_states)
-        # success and fail successors can coincide at saturation, so accumulate
-        np.add.at(A, (rows, succ), -params.gamma * p)
-        np.add.at(A, (rows, succ_fail), -params.gamma * (1.0 - p))
-        return np.linalg.solve(A, g).reshape(params.grid_shape)
+        A, g = _linear_systems(policy.reshape(1, -1), params)
+        return np.linalg.solve(A, g[..., None])[0, :, 0].reshape(params.grid_shape)
 
     if method != "iterative":
         raise ValueError(f"unknown method {method!r}")
-    V = np.zeros(n_states)
+    comm = policy == Action.COMM
+    V = np.zeros(params.grid_shape)
     while True:
-        W = g + params.gamma * (p * V[succ] + (1.0 - p) * V[succ_fail])
+        q_sense, q_comm = q_grids(V, params)
+        W = np.where(comm, q_comm, q_sense)
         change = np.max(np.abs(W - V))
         V = W
         if change <= eval_tol:
-            return V.reshape(params.grid_shape)
+            return V
 
 
 def policy_iteration(params: ModelParams, eval_tol: float = 1e-12,
@@ -199,8 +197,6 @@ def exhaustive_policy_oracle(params: ModelParams,
         raise ValueError(
             f"exhaustive enumeration needs (a_max+1)^2 <= 16 states, got {n_states}")
 
-    succ_sense, succ_comm, succ_fail, g_sense, g_comm = _flat_dynamics(params)
-    rows = np.arange(n_states)
     state_bit = np.arange(n_states, dtype=np.int64)
 
     v_min = np.full(n_states, np.inf)
@@ -211,17 +207,7 @@ def exhaustive_policy_oracle(params: ModelParams,
     for lo in range(0, total, chunk):
         idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
         bits = (idx[:, None] >> state_bit[None, :]) & 1          # (B, n_states)
-        comm = bits == 1
-        p = np.where(comm, params.lambda_c, params.lambda_s)
-        succ = np.where(comm, succ_comm, succ_sense)
-        g = np.where(comm, g_comm, g_sense)
-
-        batch = idx.size
-        A = np.tile(np.eye(n_states), (batch, 1, 1))
-        b_idx = np.arange(batch)[:, None]
-        A[b_idx, rows[None, :], succ] -= params.gamma * p
-        A[b_idx, rows[None, :], np.broadcast_to(succ_fail, succ.shape)] -= (
-            params.gamma * (1.0 - p))
+        A, g = _linear_systems(bits, params)
         v_all = np.linalg.solve(A, g[..., None])[..., 0]         # (B, n_states)
 
         v_min = np.minimum(v_min, v_all.min(axis=0))

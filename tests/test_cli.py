@@ -94,6 +94,18 @@ def test_invalid_config_exit_code(tmp_path, capsys):
     assert "lambda_s" in capsys.readouterr().err
 
 
+def test_non_finite_model_input_is_rejected_and_named(tmp_path, capsys):
+    assert run(tmp_path, "solve", "--model.c_s", "nan", "--model.a_max", "5",
+               "--solver.max_iter", "50") == 2
+    assert "model.c_s" in capsys.readouterr().err
+    cfg_path = tmp_path / "run.json"
+    for field, literal in (("a_max", "Infinity"), ("a_max", "NaN"),
+                           ("c_c", "Infinity")):
+        cfg_path.write_text(f'{{"model": {{"{field}": {literal}}}}}')
+        assert run(tmp_path, "solve", "--config", str(cfg_path)) == 2, literal
+        assert f"model.{field}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()  # nothing written
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = {"model": {"a_max": 6, "gamma": 0.5}, "sim": {"n": 10, "horizon": 5}}
     cfg_path = tmp_path / "run.json"

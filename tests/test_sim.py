@@ -120,6 +120,25 @@ def test_estimate_equals_mean_of_individual_rollouts():
     assert est.std_error == pytest.approx(np.std(costs, ddof=1) / np.sqrt(n))
 
 
+def test_seed_sequence_argument_is_reusable():
+    # a SeedSequence passed in is read, never advanced: passing the same
+    # object twice repeats the result, which equals the int-seed result
+    p = make(a_max=10)
+    pol = baseline_policy("random_bernoulli", p, p=0.3)
+    root = np.random.SeedSequence(42)
+    e1 = estimate_value(pol, p, (1, 1), n=200, horizon=100, seed=root)
+    e2 = estimate_value(pol, p, (1, 1), n=200, horizon=100, seed=root)
+    e_int = estimate_value(pol, p, (1, 1), n=200, horizon=100, seed=42)
+    assert e1 == e2 == e_int
+    t1 = rollout(pol, p, (1, 1), horizon=100, seed=root)
+    t2 = rollout(pol, p, (1, 1), horizon=100, seed=root)
+    t_int = rollout(pol, p, (1, 1), horizon=100, seed=42)
+    for t in (t2, t_int):
+        assert np.array_equal(t.states, t1.states)
+        assert np.array_equal(t.actions, t1.actions)
+        assert np.array_equal(t.outcomes, t1.outcomes)
+        assert t.discounted_cost == t1.discounted_cost
+
 def test_estimate_zero_variance_for_deterministic_links():
     for lam in (0.0, 1.0):
         p = make(lambda_s=lam, lambda_c=lam)
