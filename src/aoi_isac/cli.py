@@ -21,42 +21,24 @@ from pathlib import Path
 import numpy as np
 
 from . import gridio, sim, solver, structure
-from .config import RunConfig, build_config, load_config_file
+from .config import FIELDS, RunConfig, build_config, load_config_file
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 2
 EXIT_NOT_CONVERGED = 3
 EXIT_CHECK_FAILED = 4
 
-SWEEP_AXES = ("lambda_s", "lambda_c", "c_s", "c_c", "gamma")
-
-_FLAG_TYPES = {
-    "model.lambda_s": float, "model.lambda_c": float,
-    "model.c_s": float, "model.c_c": float,
-    "model.gamma": float, "model.a_max": int,
-    "solver.tol": float, "solver.max_iter": int,
-    "sim.n": int, "sim.horizon": int, "sim.seed": int,
-}
-
-
-def _parse_pair(text: str) -> list[int]:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected 'a,b', got {text!r}")
-    return [int(p) for p in parts]
+SWEEP_AXES = tuple(dotted.partition(".")[2] for dotted, typ in FIELDS.items()
+                   if dotted.startswith("model.") and typ is float)
 
 
 def _add_config_flags(p: argparse.ArgumentParser):
     p.add_argument("--config", metavar="FILE", help="JSON config document")
-    for dotted, typ in _FLAG_TYPES.items():
-        p.add_argument(f"--{dotted}", dest=dotted, type=typ, default=None,
-                       metavar="X", help=f"override {dotted}")
-    p.add_argument("--sim.s0", dest="sim.s0", type=_parse_pair, default=None,
-                   metavar="A,B", help="override sim.s0")
-    p.add_argument("--output.directory", dest="output.directory", default=None,
-                   metavar="DIR", help="override output.directory")
-    p.add_argument("--output.formats", dest="output.formats", default=None,
-                   metavar="F,F", help="override output.formats (subset of csv,json,ascii)")
+    for dotted, typ in FIELDS.items():
+        # build_config splits the text of a tuple field at its commas
+        p.add_argument(f"--{dotted}", dest=dotted, default=None, metavar="X",
+                       type=typ if typ in (int, float) else str,
+                       help=f"override {dotted}")
 
 
 def _resolve_config(args) -> RunConfig:
@@ -64,13 +46,8 @@ def _resolve_config(args) -> RunConfig:
     overrides = {}
     if "AOI_ISAC_OUTPUT_DIR" in os.environ:
         overrides["output.directory"] = os.environ["AOI_ISAC_OUTPUT_DIR"]
-    for dotted in list(_FLAG_TYPES) + ["sim.s0", "output.directory", "output.formats"]:
-        val = getattr(args, dotted)
-        if val is None:
-            continue
-        if dotted == "output.formats":
-            val = [f.strip() for f in val.split(",")]
-        overrides[dotted] = val
+    overrides |= {dotted: val for dotted, val in vars(args).items()
+                  if dotted in FIELDS and val is not None}
     return build_config(file_values, overrides)
 
 

@@ -27,6 +27,9 @@ import numpy as np
 
 State = tuple[int, int]
 
+# 4,004,001 states; a solve at this size peaks under 200 MB above a small one
+MAX_A_MAX = 2000
+
 
 class Action(IntEnum):
     SENSE = 0
@@ -70,8 +73,9 @@ class ModelParams:
             integral = int(self.a_max) == self.a_max
         except (OverflowError, ValueError):  # inf, nan
             integral = False
-        if not integral or self.a_max < 2:
-            raise ValueError(f"a_max must be an integer >= 2, got {self.a_max}")
+        if not integral or not 2 <= self.a_max <= MAX_A_MAX:
+            raise ValueError(f"a_max must be an integer in [2, {MAX_A_MAX}], "
+                             f"got {self.a_max}")
 
     @property
     def lambda_ordering_ok(self) -> bool:

@@ -7,7 +7,8 @@ import sys
 import numpy as np
 
 from aoi_isac import gridio
-from aoi_isac.cli import main
+from aoi_isac.cli import SWEEP_AXES, _build_parser, main
+from aoi_isac.config import RunConfig
 from aoi_isac.model import ModelParams
 from aoi_isac.solver import exhaustive_policy_oracle
 
@@ -123,6 +124,44 @@ def test_unknown_config_field_is_named(tmp_path, capsys):
     cfg_path.write_text(json.dumps({"model": {"amax": 5}}))
     assert run(tmp_path, "solve", "--config", str(cfg_path)) == 2
     assert "model.amax" in capsys.readouterr().err
+
+
+def test_wrongly_typed_json_values_are_rejected_and_named(tmp_path, capsys):
+    cfg_path = tmp_path / "run.json"
+    for section, field, literal in (("model", "c_s", '"abc"'), ("sim", "n", '"10"'),
+                                    ("model", "a_max", "6.0"), ("sim", "s0", "5"),
+                                    ("output", "formats", '"csv"')):
+        cfg_path.write_text(f'{{"{section}": {{"{field}": {literal}}}}}')
+        assert run(tmp_path, "solve", "--config", str(cfg_path)) == 2, literal
+        assert f"{section}.{field}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_oversized_a_max_is_rejected_and_named(tmp_path, capsys):
+    assert run(tmp_path, "solve", "--model.a_max", "100000") == 2
+    assert "model.a_max" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+    assert ModelParams(**IV, a_max=2000).a_max == 2000
+
+
+def test_oversized_simulation_is_rejected_and_named(tmp_path, capsys):
+    assert run(tmp_path, "simulate", "--model.a_max", "5", "--sim.n", "100000",
+               "--sim.horizon", "100000") == 2
+    err = capsys.readouterr().err
+    assert "sim.n" in err and "sim.horizon" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_every_config_leaf_has_a_flag():
+    leaves = {f"--{section}.{key}" for section, values in RunConfig().to_dict().items()
+              for key in values}
+    parser = _build_parser()
+    commands = parser._subparsers._group_actions[0].choices
+    assert set(commands) == {"solve", "verify", "simulate", "sweep"}
+    for name, sub in commands.items():
+        flags = {o for a in sub._actions for o in a.option_strings if "." in o}
+        assert flags == leaves, name
+    assert SWEEP_AXES == ("lambda_s", "lambda_c", "c_s", "c_c", "gamma")
 
 
 def test_output_dir_env_override(tmp_path, monkeypatch):
