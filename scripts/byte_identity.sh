@@ -1,0 +1,61 @@
+#!/usr/bin/env bash
+# Compare the CLI artifacts of two source trees byte for byte.
+#
+#   scripts/byte_identity.sh BASE_DIR CHANGED_DIR WORK_DIR
+#
+# BASE_DIR and CHANGED_DIR are checkouts of the repository (for example the
+# parent commit, unpacked with `git archive`, and the working tree). Each
+# side runs the same command lines with its own src/ on PYTHONPATH, in
+# WORK_DIR/base and WORK_DIR/changed, and the two directories are compared
+# with `diff -r`. The command lines are those of perfbench's `reference`
+# and `large_grid` workloads: `solve`, then `simulate` with seeds 1 and 7
+# under every named policy and under the solved policy.csv, and `simulate`
+# with a seed of more than 64 bits. Exits 0 when every artifact is
+# identical, 1 when one differs.
+set -euo pipefail
+
+if [ $# -ne 3 ]; then
+    sed -n '2,14p' "$0" >&2
+    exit 2
+fi
+base=$(cd "$1" && pwd)
+changed=$(cd "$2" && pwd)
+work=$3
+rm -rf "$work/base" "$work/changed"
+
+run_side() {
+    local src=$1/src dir=$2
+    mkdir -p "$dir"
+    (
+        cd "$dir"
+        aoi() { PYTHONPATH="$src" OPENBLAS_NUM_THREADS=1 python3 -m aoi_isac "$@" >/dev/null; }
+        for workload in reference large_grid; do
+            case $workload in
+                reference) size=(--model.a_max=30 --sim.n=10000) ;;
+                large_grid) size=(--model.a_max=300 --sim.n=1000) ;;
+            esac
+            common=(--model.lambda_s=0.6 --model.lambda_c=0.9 --model.c_s=0.2
+                    --model.c_c=0.1 --model.gamma=0.95 "${size[@]}"
+                    --sim.horizon=400 --sim.s0=1,1)
+            aoi solve "${common[@]}" --output.directory="$workload/solve"
+            for seed in 1 7; do
+                for policy in optimal always_sense always_comm alternate random_bernoulli:0.3; do
+                    aoi simulate --policy="$policy" "${common[@]}" --sim.seed="$seed" \
+                        --output.directory="$workload/${policy/:/_}-$seed"
+                done
+                aoi simulate --policy-file="$workload/solve/policy.csv" "${common[@]}" \
+                    --sim.seed="$seed" --output.directory="$workload/policy_file-$seed"
+            done
+            aoi simulate --policy=optimal "${common[@]}" --sim.seed=12345678901234567890 \
+                --output.directory="$workload/optimal-12345678901234567890"
+        done
+    )
+}
+
+run_side "$base" "$work/base"
+run_side "$changed" "$work/changed"
+if diff -r "$work/base" "$work/changed"; then
+    echo "identical: $(find "$work/changed" -type f | wc -l) artifacts"
+else
+    exit 1
+fi

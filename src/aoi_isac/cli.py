@@ -18,8 +18,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import gridio, sim, solver, structure
 from .config import FIELDS, RunConfig, build_config, load_config_file
 
@@ -183,9 +181,6 @@ def cmd_simulate(cfg: RunConfig, policy_source: str, policy_file: str | None) ->
     policy, label, v_star = _resolve_policy(cfg, policy_source, policy_file)
     est = sim.estimate_value(policy, cfg.model, cfg.sim.s0, cfg.sim.n,
                              cfg.sim.horizon, cfg.sim.seed)
-    # the dumped trajectory is trajectory 0 of the estimate's seed tree
-    child0 = np.random.SeedSequence(cfg.sim.seed).spawn(1)[0]
-    traj = sim.rollout(policy, cfg.model, cfg.sim.s0, cfg.sim.horizon, child0)
 
     out = _outdir(cfg)
     summary = {
@@ -203,7 +198,7 @@ def cmd_simulate(cfg: RunConfig, policy_source: str, policy_file: str | None) ->
         summary["abs_gap"] = abs(est.mean - v0)
     gridio.write_json(out / "simulate_report.json", summary)
     (out / "trajectory.csv").write_text(
-        "\n".join(sim.trajectory_csv_lines(traj, cfg.model)) + "\n")
+        "\n".join(sim.trajectory_csv_lines(est.trajectory, cfg.model)) + "\n")
     print(f"simulate [{label}]: mean={est.mean:.6f} std_error={est.std_error:.2e} "
           f"bias_bound={est.truncation_bias_bound:.2e}")
     if "abs_gap" in summary:

@@ -18,7 +18,9 @@ from pathlib import Path
 from .model import ModelParams
 
 VALID_FORMATS = ("csv", "json", "ascii")
-# 10^8 outcome uniforms (0.8 GB) is 25x the benchmark's largest simulation
+# bounds the simulation's work, n * horizon trajectory slots: 10^8 is 25x
+# the benchmark's largest simulation. The uniforms are drawn slot by slot and
+# never stored, so this no longer bounds memory.
 MAX_SIM_DRAWS = 10**8
 
 
@@ -33,7 +35,7 @@ class SolverConfig:
     max_iter: int = 100_000
 
     def __post_init__(self):
-        if self.tol <= 0:
+        if not self.tol > 0:  # NaN too
             raise ValueError(f"tol must be > 0, got {self.tol}")
         if self.max_iter < 1:
             raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
@@ -51,6 +53,8 @@ class SimConfig:
             raise ValueError(f"n must be >= 2, got {self.n}")
         if self.horizon < 1:
             raise ValueError(f"horizon must be >= 1, got {self.horizon}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.n * self.horizon > MAX_SIM_DRAWS:
             raise ValueError(f"n * horizon must be <= {MAX_SIM_DRAWS}, got "
                              f"sim.n={self.n}, sim.horizon={self.horizon}")

@@ -55,7 +55,7 @@ def value_iteration(params: ModelParams, tol: float = 1e-9,
     partial grids are still returned; the caller decides whether to accept
     them.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:  # NaN too
         raise ValueError(f"tol must be > 0, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")

@@ -152,6 +152,20 @@ def test_oversized_simulation_is_rejected_and_named(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_negative_seed_is_rejected_and_named(tmp_path, capsys):
+    for command in ("simulate", "solve"):
+        assert run(tmp_path, command, *small_flags(), "--sim.seed", "-1") == 2, command
+        assert "sim.seed" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_nan_solver_tol_is_rejected_and_named(tmp_path, capsys):
+    assert run(tmp_path, "solve", "--solver.tol", "nan", "--model.a_max", "5",
+               "--solver.max_iter", "50") == 2
+    assert "solver.tol" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_every_config_leaf_has_a_flag():
     leaves = {f"--{section}.{key}" for section, values in RunConfig().to_dict().items()
               for key in values}

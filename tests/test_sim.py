@@ -1,11 +1,14 @@
 """Simulation tests: deterministic rollouts, seeding discipline, estimators."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from aoi_isac import sim
 from aoi_isac.model import Action, ModelParams, stage_cost, transition
-from aoi_isac.sim import (baseline_policy, estimate_value, rollout,
-                          trajectory_csv_lines, truncation_bias_bound)
+from aoi_isac.sim import (_PCG64Lanes, baseline_policy, estimate_value,
+                          rollout, trajectory_csv_lines, truncation_bias_bound)
 from aoi_isac.solver import value_iteration
 
 IV = dict(lambda_s=0.6, lambda_c=0.9, c_s=0.2, c_c=0.1, gamma=0.95)
@@ -199,3 +202,108 @@ def test_trajectory_csv_matches_hand_rollout():
         cells = line.split(",")
         assert tuple(int(c) for c in cells[:5]) == row[:5]
         assert float(cells[5]) == row[5]  # 17 sig digits: lossless
+
+
+def numpy_stream(root, key, which, horizon):
+    """numpy's own draws for the stream the simulator derives from root."""
+    ss = np.random.SeedSequence(root.entropy, pool_size=root.pool_size,
+                                spawn_key=root.spawn_key + key + (which,))
+    return np.random.default_rng(ss).random(horizon)
+
+
+def lane_draws(root, keys, which, horizon, columns):
+    """The sampled columns of the lanes' (horizon, lanes) draws."""
+    lanes = _PCG64Lanes(root, keys, which)
+    u = np.empty(1 if keys is None else len(keys))
+    return np.array([lanes.random(u)[columns] for _ in range(horizon)])
+
+
+@pytest.mark.parametrize("entropy", [0, 1, 2**32, 2**64 + 5, 2**200,
+                                     [7, 2**40, 3]])
+def test_streams_equal_numpys_bit_for_bit(entropy):
+    roots = [np.random.SeedSequence(entropy),
+             np.random.SeedSequence(entropy).spawn(3)[2],  # rollout(seed=child)
+             np.random.SeedSequence(entropy, pool_size=8)]
+    for root in roots:
+        for which in (0, 1):
+            for horizon in (1, 7):
+                draws = lane_draws(root, np.arange(50), which, horizon, [0, 1, 49])
+                for col, j in enumerate((0, 1, 49)):
+                    assert np.array_equal(draws[:, col],
+                                          numpy_stream(root, (j,), which, horizon))
+            # one lane seeded by root itself, as rollout does
+            draws = lane_draws(root, None, which, 7, [0])
+            assert np.array_equal(draws[:, 0], numpy_stream(root, (), which, 7))
+
+
+def test_streams_long_horizon_and_last_of_many_lanes():
+    root = np.random.SeedSequence(12345678901234567890)
+    n = 10_000
+    for which in (0, 1):
+        draws = lane_draws(root, np.arange(n), which, 400, [0, n - 1])
+        for col, j in enumerate((0, n - 1)):
+            assert np.array_equal(draws[:, col], numpy_stream(root, (j,), which, 400))
+
+
+def test_estimate_records_trajectory_zero():
+    p = make(a_max=10)
+    pol = baseline_policy("random_bernoulli", p, p=0.3)
+    est = estimate_value(pol, p, (1, 1), n=20, horizon=50, seed=5)
+    child0 = np.random.SeedSequence(5).spawn(1)[0]
+    ref = rollout(pol, p, (1, 1), 50, child0)
+    t = est.trajectory
+    assert np.array_equal(t.states, ref.states)
+    assert np.array_equal(t.actions, ref.actions)
+    assert np.array_equal(t.outcomes, ref.outcomes)
+    assert t.discounted_cost == ref.discounted_cost and t.horizon == 50
+    assert trajectory_csv_lines(t, p) == trajectory_csv_lines(ref, p)
+
+
+def test_block_size_does_not_change_the_estimate(monkeypatch):
+    p = make(a_max=10)
+    pol = baseline_policy("random_bernoulli", p, p=0.4)
+    whole = estimate_value(pol, p, (1, 1), n=50, horizon=30, seed=9)
+    monkeypatch.setattr(sim, "_LANES_PER_BLOCK", 7)
+    blocked = estimate_value(pol, p, (1, 1), n=50, horizon=30, seed=9)
+    assert blocked == whole
+    assert np.array_equal(blocked.trajectory.states, whole.trajectory.states)
+
+
+def test_estimate_never_holds_n_by_horizon_uniforms():
+    # an n x horizon float64 matrix of uniforms would take 80 MB here
+    p = make(a_max=10)
+    pol = baseline_policy("always_sense", p)
+    tracemalloc.start()
+    try:
+        estimate_value(pol, p, (1, 1), n=1000, horizon=10_000, seed=3)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
+def test_short_rollout_on_a_large_grid_follows_the_scalar_dynamics():
+    # the run reaches ages up to max(s0) + horizon only, far below a_max
+    p = make(a_max=2000)
+    for pol in (baseline_policy("random_bernoulli", p, p=0.5),
+                np.tile(np.arange(2001) % 2, (2001, 1)).astype(np.int8)):
+        traj = rollout(pol, p, (3, 5), horizon=40, seed=4)
+        cost, gamma_pow = 0.0, 1.0
+        for k in range(40):
+            s, a = tuple(traj.states[k]), int(traj.actions[k])
+            if isinstance(pol, np.ndarray):
+                assert a == pol[s]
+            assert transition(s, a, int(traj.outcomes[k]), p) == tuple(traj.states[k + 1])
+            cost += gamma_pow * stage_cost(s, a, p)
+            gamma_pow *= p.gamma
+        assert cost == traj.discounted_cost
+
+
+def test_policy_grid_of_the_wrong_shape_is_rejected():
+    p = make(a_max=5)
+    for shape in ((7, 7), (5, 5)):
+        grid = np.zeros(shape, dtype=np.int8)
+        with pytest.raises(ValueError, match="shape"):
+            estimate_value(grid, p, (1, 1), n=10, horizon=5, seed=0)
+        with pytest.raises(ValueError, match="shape"):
+            rollout(grid, p, (1, 1), horizon=5, seed=0)

@@ -105,6 +105,11 @@ def test_value_iteration_input_validation():
         value_iteration(p, max_iter=0)
 
 
+def test_value_iteration_rejects_nan_tol():
+    with pytest.raises(ValueError, match="tol"):
+        value_iteration(make(a_max=5), tol=float("nan"), max_iter=50)
+
+
 def test_extract_policy_tie_goes_to_sense():
     p = make(a_max=4, c_s=0.3, c_c=0.3)
     assert np.all(extract_policy(np.zeros(p.grid_shape), p) == Action.SENSE)
