@@ -8,14 +8,17 @@
 # side runs the same command lines with its own src/ on PYTHONPATH, in
 # WORK_DIR/base and WORK_DIR/changed, and the two directories are compared
 # with `diff -r`. The command lines are those of perfbench's `reference`
-# and `large_grid` workloads: `solve`, then `simulate` with seeds 1 and 7
-# under every named policy and under the solved policy.csv, and `simulate`
-# with a seed of more than 64 bits. Exits 0 when every artifact is
-# identical, 1 when one differs.
+# and `large_grid` workloads: `verify` with nothing to read (it solves in
+# process), `solve`, `verify` of the solve artifacts, `simulate` with seeds
+# 1 and 7 under every named policy and under the solved policy.csv,
+# `simulate` with a seed of more than 64 bits, and `sweep` of c_c. Each
+# command's exit code is appended to exit_codes.txt in the compared tree.
+# Exits 0 when every artifact and exit code is identical, 1 when one
+# differs.
 set -euo pipefail
 
 if [ $# -ne 3 ]; then
-    sed -n '2,14p' "$0" >&2
+    sed -n '2,17p' "$0" >&2
     exit 2
 fi
 base=$(cd "$1" && pwd)
@@ -28,16 +31,25 @@ run_side() {
     mkdir -p "$dir"
     (
         cd "$dir"
-        aoi() { PYTHONPATH="$src" OPENBLAS_NUM_THREADS=1 python3 -m aoi_isac "$@" >/dev/null; }
+        aoi() {
+            local rc=0
+            PYTHONPATH="$src" OPENBLAS_NUM_THREADS=1 python3 -m aoi_isac "$@" \
+                >/dev/null || rc=$?
+            echo "$rc $*" >> exit_codes.txt
+        }
         for workload in reference large_grid; do
             case $workload in
-                reference) size=(--model.a_max=30 --sim.n=10000) ;;
-                large_grid) size=(--model.a_max=300 --sim.n=1000) ;;
+                reference) size=(--model.a_max=30 --sim.n=10000)
+                           sweep_values=0.05,0.1,0.2,0.4 ;;
+                large_grid) size=(--model.a_max=300 --sim.n=1000)
+                            sweep_values=0.1,0.4 ;;
             esac
             common=(--model.lambda_s=0.6 --model.lambda_c=0.9 --model.c_s=0.2
                     --model.c_c=0.1 --model.gamma=0.95 "${size[@]}"
                     --sim.horizon=400 --sim.s0=1,1)
+            aoi verify "${common[@]}" --output.directory="$workload/verify"
             aoi solve "${common[@]}" --output.directory="$workload/solve"
+            aoi verify "${common[@]}" --output.directory="$workload/solve"
             for seed in 1 7; do
                 for policy in optimal always_sense always_comm alternate random_bernoulli:0.3; do
                     aoi simulate --policy="$policy" "${common[@]}" --sim.seed="$seed" \
@@ -48,6 +60,8 @@ run_side() {
             done
             aoi simulate --policy=optimal "${common[@]}" --sim.seed=12345678901234567890 \
                 --output.directory="$workload/optimal-12345678901234567890"
+            aoi sweep --axis=c_c --values="$sweep_values" "${common[@]}" \
+                --output.directory="$workload/sweep"
         done
     )
 }

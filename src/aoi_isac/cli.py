@@ -212,8 +212,6 @@ def cmd_sweep(cfg: RunConfig, axis: str, values: list[float]) -> int:
               file=sys.stderr)
         return EXIT_BAD_CONFIG
 
-    check_names = ["monotone", "submodular", "delta_monotone", "q_submodular",
-                   "single_crossing", "threshold_monotone"]
     rows = []
     any_failed = any_nonconverged = False
     for value in values:
@@ -245,14 +243,15 @@ def cmd_sweep(cfg: RunConfig, axis: str, values: list[float]) -> int:
 
     out = _outdir(cfg)
     lines = [f"# {c}" for c in _config_comment(cfg, f"sweep axis={axis}")]
-    lines.append(",".join([axis, "status"] + check_names + ["tau"]))
+    lines.append(",".join([axis, "status", *structure.CHECK_NAMES, "tau"]))
     for row in rows:
         cells = [gridio.fmt_real(row["value"]), row["status"]]
         if "checks" in row:
-            cells += ["1" if row["checks"][c] else "0" for c in check_names]
+            cells += ["1" if row["checks"][name] else "0"
+                      for name in structure.CHECK_NAMES]
             cells.append(";".join(str(t) for t in row["tau"]))
         else:
-            cells += [""] * (len(check_names) + 1)
+            cells += [""] * (len(structure.CHECK_NAMES) + 1)
         lines.append(",".join(cells))
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")
     gridio.write_json(out / "sweep_report.json", {

@@ -48,11 +48,13 @@ def write_grid_csv(path, grid: np.ndarray, comments: list[str] = (),
 def read_grid_csv(path, integer: bool = False) -> tuple[np.ndarray, list[str]]:
     """Parse a grid CSV back into an array plus its comment lines.
 
-    Malformed content raises ValueError naming the offending line number.
+    Malformed content, a non-finite real cell included, raises ValueError
+    naming the offending line number.
     """
     path = Path(path)
     comments = []
     rows = []
+    linenos = []
     expected_cols = None
     row_index = 0
     for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
@@ -82,13 +84,18 @@ def read_grid_csv(path, integer: bool = False) -> tuple[np.ndarray, list[str]]:
                 rows.append([float(c) for c in cells[1:]])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: bad cell value ({exc})") from None
+        linenos.append(lineno)
         row_index += 1
     if expected_cols is None:
         raise ValueError(f"{path}:1: no header row found")
     if row_index != expected_cols:
         raise ValueError(f"{path}: expected {expected_cols} data rows, got {row_index}")
-    dtype = np.int64 if integer else float
-    return np.array(rows, dtype=dtype), comments
+    grid = np.array(rows, dtype=np.int64 if integer else float)
+    if not np.isfinite(grid).all():
+        i, j = np.argwhere(~np.isfinite(grid))[0]
+        raise ValueError(f"{path}:{linenos[i]}: non-finite cell value "
+                         f"{grid[i, j]} in column {j}")
+    return grid, comments
 
 
 def read_policy_csv(path) -> tuple[np.ndarray, list[str]]:

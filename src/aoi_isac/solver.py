@@ -1,8 +1,11 @@
 """Dynamic-programming solvers for the two-age scheduling MDP.
 
-Value iteration is the workhorse; policy iteration with exact evaluation and
-exhaustive policy enumeration (tiny grids only) serve as independent
-cross-checks. All grids are dense float64 arrays indexed [alpha_s, alpha_b],
+Value iteration is the workhorse; policy iteration and exhaustive policy
+enumeration (tiny grids only) serve as independent cross-checks. Policy
+evaluation is exact at every grid size: ``evaluate_policy`` solves for the
+values of the at most 2 a_max - 1 anchor states that a success can reach,
+while the oracle solves the dense (I - gamma P) v = g. Every loop has a
+bound. All grids are dense float64 arrays indexed [alpha_s, alpha_b],
 policies are int arrays with 0 = sense, 1 = comm.
 """
 
@@ -105,12 +108,10 @@ def extract_thresholds(policy: np.ndarray) -> tuple[np.ndarray, bool]:
     return tau, single_crossing_ok
 
 
-def _linear_systems(policies: np.ndarray, params: ModelParams):
-    """(I - gamma P, g) of a batch of policies, one flattened policy per row.
-
-    policies has shape (B, n_states); returns A of shape (B, n_states,
-    n_states) and g of shape (B, n_states), so that each policy's value is
-    the solution of A[k] v = g[k].
+def _policy_tables(policies: np.ndarray, params: ModelParams):
+    """(p, g, succ, fail) of flattened policies (states last): each state's
+    success probability, stage cost and success successor, shaped like
+    policies, and the action-independent fail successor, as flat indices.
     """
     n = params.n_ages
     states = np.arange(n * n)
@@ -121,61 +122,85 @@ def _linear_systems(policies: np.ndarray, params: ModelParams):
     p = np.where(comm, params.lambda_c, params.lambda_s)
     succ_idx = np.where(comm, succ_flat[Action.COMM], succ_flat[Action.SENSE])
     g = np.where(comm, cost[Action.COMM], cost[Action.SENSE])
+    return p, g, succ_idx, fail[0] * n + fail[1]
 
-    batch = len(comm)
+
+def _linear_systems(policies: np.ndarray, params: ModelParams):
+    """(I - gamma P, g) of a batch of policies, one flattened policy per row.
+
+    policies has shape (B, n_states); returns A of shape (B, n_states,
+    n_states) and g of shape (B, n_states), so that each policy's value is
+    the solution of A[k] v = g[k]: the dense reference of the exhaustive
+    oracle and the tests.
+    """
+    p, g, succ_idx, fail_idx = _policy_tables(policies, params)
+    batch, n_states = p.shape
+    states = np.arange(n_states)
     b_idx = np.arange(batch)[:, None]
-    A = np.zeros((batch, n * n, n * n))
+    A = np.zeros((batch, n_states, n_states))
     A[:, states, states] = 1.0
     # success and fail successors can coincide at saturation; the two
     # subtractions are separate statements, so both land
     A[b_idx, states, succ_idx] -= params.gamma * p
-    A[b_idx, states, fail[0] * n + fail[1]] -= params.gamma * (1.0 - p)
+    A[b_idx, states, fail_idx] -= params.gamma * (1.0 - p)
     return A, g
 
 
-def evaluate_policy(policy: np.ndarray, params: ModelParams,
-                    eval_tol: float = 1e-12, method: str = "auto") -> np.ndarray:
-    """Value grid of a fixed stationary policy.
+def evaluate_policy(policy: np.ndarray, params: ModelParams) -> np.ndarray:
+    """Value grid of a fixed stationary policy, exact at every grid size.
 
-    method "direct" solves the (a_max+1)^2-dimensional linear system
-    (I - gamma P) V = g exactly; "iterative" runs successive approximation
-    until the sup-norm update is <= eval_tol; "auto" picks direct up to
-    2500 states and iterative beyond.
+    Success successors, the anchors, lie on the column (k, 1) and the
+    diagonal (k, k): at most 2 a_max - 1 states. Fail chains step both ages
+    and end within a_max steps at the corner (a_max, a_max), whose fail
+    self-loop is folded in closed form. Walking the anchors' fail chains in
+    lockstep gives (I - W) y = u for the anchor values y; the grid is then
+    V = g + gamma p y[anchor] + gamma (1 - p) V[fail], summed along the
+    fail chains by pointer doubling.
     """
     policy = np.asarray(policy)
     if policy.shape != params.grid_shape:
         raise ValueError(f"policy shape {policy.shape} != {params.grid_shape}")
-    if method == "auto":
-        method = "direct" if policy.size <= 2500 else "iterative"
+    p, g, succ_idx, fail = _policy_tables(policy.ravel(), params)
+    gp = params.gamma * p
+    q = params.gamma * (1.0 - p)
+    corner = fail.size - 1
+    scale = 1.0 / (1.0 - q[corner])
+    g[corner] *= scale
+    gp[corner] *= scale
+    q[corner] = 0.0
 
-    if method == "direct":
-        A, g = _linear_systems(policy.reshape(1, -1), params)
-        return np.linalg.solve(A, g[..., None])[0, :, 0].reshape(params.grid_shape)
+    anchors, slot = np.unique(succ_idx, return_inverse=True)
+    rows = np.arange(anchors.size)
+    u = np.zeros(anchors.size)
+    W = np.zeros((anchors.size, anchors.size))
+    at, weight = anchors, np.ones(anchors.size)
+    for _ in range(params.a_max + 1):  # the corner ends every chain by then
+        u += weight * g[at]
+        W[rows, slot[at]] += weight * gp[at]
+        weight = weight * q[at]
+        at = fail[at]
+    y = np.linalg.solve(np.eye(anchors.size) - W, u)
 
-    if method != "iterative":
-        raise ValueError(f"unknown method {method!r}")
-    comm = policy == Action.COMM
-    V = np.zeros(params.grid_shape)
-    while True:
-        q_sense, q_comm = q_grids(V, params)
-        W = np.where(comm, q_comm, q_sense)
-        change = np.max(np.abs(W - V))
-        V = W
-        if change <= eval_tol:
-            return V
+    V = g + gp * y[slot]
+    for _ in range(params.a_max.bit_length()):  # 2^rounds > a_max chain steps
+        V += q * V[fail]
+        q *= q[fail]
+        fail = fail[fail]
+    return V.reshape(params.grid_shape)
 
 
-def policy_iteration(params: ModelParams, eval_tol: float = 1e-12,
+def policy_iteration(params: ModelParams,
                      max_sweeps: int = 1000) -> tuple[np.ndarray, np.ndarray]:
-    """Alternate exact policy evaluation with greedy improvement (ties to
-    sense) until the policy is stable; returns (V, policy).
+    """Alternate exact policy evaluation (``evaluate_policy``) with greedy
+    improvement (ties to sense) until the policy is stable; returns
+    (V, policy).
 
     A finite MDP with a fixed tie rule must stabilise, so exceeding
     max_sweeps signals an implementation fault and raises.
     """
     policy = extract_policy(np.zeros(params.grid_shape), params)
     for _ in range(max_sweeps):
-        V = evaluate_policy(policy, params, eval_tol=eval_tol)
+        V = evaluate_policy(policy, params)
         improved = extract_policy(V, params)
         if np.array_equal(improved, policy):
             return V, policy

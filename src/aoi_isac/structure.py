@@ -30,6 +30,9 @@ from .model import Action, ModelParams, delta_grid, q_grids
 from .solver import extract_thresholds
 
 DEFAULT_TOL = 1e-9
+# the check names, in the order run_all_checks returns the reports
+CHECK_NAMES = ("monotone", "submodular", "delta_monotone", "q_submodular",
+               "single_crossing", "threshold_monotone")
 
 
 @dataclass
@@ -148,9 +151,9 @@ def check_single_crossing(policy: np.ndarray) -> StructureReport:
 def run_all_checks(V: np.ndarray, policy: np.ndarray, params: ModelParams,
                    tol: float = DEFAULT_TOL) -> list[StructureReport]:
     """The full certificate: every structural check on a solved (V, policy)
-    pair, in a fixed order."""
+    pair, in CHECK_NAMES order."""
     tau, _ = extract_thresholds(policy)
-    return [
+    reports = [
         check_monotone(V, tol),
         check_submodular(V, tol),
         check_delta_monotone(V, params, tol),
@@ -158,3 +161,5 @@ def run_all_checks(V: np.ndarray, policy: np.ndarray, params: ModelParams,
         check_single_crossing(policy),
         check_threshold_monotone(tau),
     ]
+    # a check missing from CHECK_NAMES raises here instead of being dropped
+    return sorted(reports, key=lambda r: CHECK_NAMES.index(r.check_name))

@@ -5,12 +5,14 @@ import subprocess
 import sys
 
 import numpy as np
+import pytest
 
 from aoi_isac import gridio
 from aoi_isac.cli import SWEEP_AXES, _build_parser, main
 from aoi_isac.config import RunConfig
 from aoi_isac.model import ModelParams
-from aoi_isac.solver import exhaustive_policy_oracle
+from aoi_isac.solver import exhaustive_policy_oracle, value_iteration
+from aoi_isac.structure import CHECK_NAMES, run_all_checks
 
 IV = dict(lambda_s=0.6, lambda_c=0.9, c_s=0.2, c_c=0.1, gamma=0.95)
 
@@ -221,6 +223,21 @@ def test_verify_detects_corrupted_value_grid(tmp_path):
     assert ("alpha_s", 3, 3) in coords
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_verify_rejects_a_non_finite_value_cell(tmp_path, capsys, cell):
+    assert run(tmp_path, "solve", *small_flags(a_max=6)) == 0
+    path = tmp_path / "out" / "value.csv"
+    lines = path.read_text().splitlines()
+    lineno = next(i for i, line in enumerate(lines, start=1)
+                  if line.startswith("3,"))
+    cells = lines[lineno - 1].split(",")
+    cells[2] = cell
+    lines[lineno - 1] = ",".join(cells)
+    path.write_text("\n".join(lines) + "\n")
+    assert run(tmp_path, "verify", *small_flags(a_max=6)) == 2
+    assert f"value.csv:{lineno}: non-finite" in capsys.readouterr().err
+
+
 def test_verify_surfaces_lambda_ordering_violation(tmp_path):
     rc = run(tmp_path, "verify", *small_flags(),
              "--model.lambda_s", "0.9", "--model.lambda_c", "0.6")
@@ -313,6 +330,30 @@ def test_sweep_rows_and_exit(tmp_path):
     header = next(r for r in csv_rows if not r.startswith("#"))
     assert header.startswith("c_c,status,monotone")
     assert rc in (0, 4)
+
+
+def sweep_header(tmp_path):
+    lines = read_bytes(tmp_path, "sweep.csv").decode().splitlines()
+    return next(line for line in lines if not line.startswith("#"))
+
+
+def test_sweep_header_names_the_reports_of_run_all_checks(tmp_path):
+    assert run(tmp_path, "sweep", "--axis", "c_c", "--values", "0.1",
+               *small_flags(a_max=4)) in (0, 4)
+    p = ModelParams(**IV, a_max=4)
+    V, policy, _ = value_iteration(p)
+    names = [r.check_name for r in run_all_checks(V, policy, p)]
+    assert list(CHECK_NAMES) == names
+    assert sweep_header(tmp_path) == ",".join(["c_c", "status", *names, "tau"])
+
+
+def test_all_rejected_sweep_still_writes_the_full_header(tmp_path):
+    run(tmp_path, "sweep", "--axis", "lambda_s", "--values", "1.2",
+        *small_flags(a_max=4))
+    assert sweep_header(tmp_path) == ",".join(
+        ["lambda_s", "status", *CHECK_NAMES, "tau"])
+    rows = read_bytes(tmp_path, "sweep.csv").decode().splitlines()
+    assert rows[-1] == "1.2,rejected" + "," * (len(CHECK_NAMES) + 1)
 
 
 def test_sweep_rejects_out_of_range_value(tmp_path, capsys):

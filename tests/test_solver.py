@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from aoi_isac.model import Action, ModelParams, delta_grid, q_value
-from aoi_isac.solver import (bellman_backup, evaluate_policy,
+from aoi_isac.solver import (_linear_systems, bellman_backup, evaluate_policy,
                              exhaustive_policy_oracle, extract_policy,
                              extract_thresholds, policy_iteration,
                              value_iteration)
@@ -151,14 +151,36 @@ def test_extract_thresholds_flags_reentry():
     assert tau[0] == 2  # last sense index still recorded
 
 
-def test_evaluate_policy_direct_matches_iterative():
+def dense_value(policy, p):
+    """The policy's value from the dense (I - gamma P) v = g solve."""
+    A, g = _linear_systems(np.asarray(policy).reshape(1, -1), p)
+    return np.linalg.solve(A, g[..., None])[0, :, 0].reshape(p.grid_shape)
+
+
+def max_rel_gap(V, reference):
+    return np.max(np.abs(V - reference)) / np.max(np.abs(reference))
+
+
+def test_evaluate_policy_matches_dense_solve():
     p = make(a_max=5)
     rng = np.random.default_rng(9)
     policy = rng.integers(0, 2, p.grid_shape)
-    direct = evaluate_policy(policy, p, method="direct")
-    iterative = evaluate_policy(policy, p, eval_tol=1e-13, method="iterative")
-    assert np.max(np.abs(direct - iterative)) < 1e-9
-    assert np.all(direct >= 0.0) and np.all(direct <= p.value_upper_bound)
+    V = evaluate_policy(policy, p)
+    assert max_rel_gap(V, dense_value(policy, p)) <= 1e-12
+    assert np.all(V >= 0.0) and np.all(V <= p.value_upper_bound)
+
+
+@pytest.mark.parametrize("lambdas", [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0),
+                                     (1.0, 0.0), (0.3, 0.7)])
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 0.999])
+@pytest.mark.parametrize("a_max", [2, 3, 7])
+def test_evaluate_policy_is_exact_across_the_parameter_grid(lambdas, gamma, a_max):
+    p = make(a_max=a_max, lambda_s=lambdas[0], lambda_c=lambdas[1], gamma=gamma)
+    rng = np.random.default_rng(a_max)
+    for policy in (rng.integers(0, 2, p.grid_shape),
+                   np.full(p.grid_shape, Action.SENSE),
+                   np.full(p.grid_shape, Action.COMM)):
+        assert max_rel_gap(evaluate_policy(policy, p), dense_value(policy, p)) <= 1e-12
 
 
 def test_policy_iteration_zero_discount():
@@ -177,6 +199,24 @@ def test_policy_iteration_agrees_with_value_iteration():
     d = delta_grid(V_vi, p)
     clear = np.abs(d) > 1e-9
     assert np.array_equal(pol_pi[clear], pol_vi[clear])
+
+
+@pytest.mark.parametrize("a_max", [5, 10, 30, 60])
+def test_policy_iteration_reaches_value_iterations_policy(a_max):
+    p = make(a_max=a_max)
+    V_pi, pol_pi = policy_iteration(p)
+    V_vi, pol_vi, rep = value_iteration(p)
+    assert rep.converged
+    assert np.array_equal(pol_pi, pol_vi)
+    assert np.max(np.abs(V_pi - V_vi)) <= rep.suboptimality_bound + 1e-10
+
+
+def test_policy_iteration_slow_contraction_large_grid_is_a_greedy_fixed_point():
+    # value iteration needs about 22,000 sweeps here
+    p = make(a_max=300, gamma=0.999)
+    V, policy = policy_iteration(p)
+    assert np.array_equal(extract_policy(V, p), policy)
+    assert np.max(np.abs(bellman_backup(V, p) - V)) <= 1e-10 * np.max(np.abs(V))
 
 
 def test_exhaustive_oracle_rejects_large_grids():
