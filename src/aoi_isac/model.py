@@ -27,7 +27,9 @@ import numpy as np
 
 State = tuple[int, int]
 
-# 4,004,001 states; a solve at this size peaks under 200 MB above a small one
+# 4,004,001 states; a solve at this size peaks under 200 MB above a small one.
+# solver.evaluate_policy there peaks at about 410 MB above, most of it its
+# (2 a_max - 1)-square anchor system and LAPACK's copy of it
 MAX_A_MAX = 2000
 
 

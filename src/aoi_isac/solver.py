@@ -112,17 +112,24 @@ def _policy_tables(policies: np.ndarray, params: ModelParams):
     """(p, g, succ, fail) of flattened policies (states last): each state's
     success probability, stage cost and success successor, shaped like
     policies, and the action-independent fail successor, as flat indices.
+
+    p and g are float even for integer inputs, so callers may scale them in
+    place. The tables are built from age vectors and broadcast, so only the
+    outputs are grid-sized.
     """
     n = params.n_ages
-    states = np.arange(n * n)
-    succ, fail, cost = dynamics(states // n, states % n, params)
-    succ_flat = [s * n + b for s, b in succ]
+    ages = np.arange(n)
+    succ, fail, cost = dynamics(ages[:, None], ages[None, :], params)
+    succ_sense, succ_comm = (s * n + b for s, b in succ)
 
-    comm = np.asarray(policies) == Action.COMM
-    p = np.where(comm, params.lambda_c, params.lambda_s)
-    succ_idx = np.where(comm, succ_flat[Action.COMM], succ_flat[Action.SENSE])
+    shape = np.shape(policies)
+    comm = (np.asarray(policies) == Action.COMM).reshape(-1, n, n)
+    p = np.where(comm, float(params.lambda_c), float(params.lambda_s))
+    succ_idx = np.where(comm, succ_comm, succ_sense)
     g = np.where(comm, cost[Action.COMM], cost[Action.SENSE])
-    return p, g, succ_idx, fail[0] * n + fail[1]
+    g = g.astype(float, copy=False)
+    return (p.reshape(shape), g.reshape(shape), succ_idx.reshape(shape),
+            (fail[0] * n + fail[1]).ravel())
 
 
 def _linear_systems(policies: np.ndarray, params: ModelParams):
@@ -161,15 +168,17 @@ def evaluate_policy(policy: np.ndarray, params: ModelParams) -> np.ndarray:
     if policy.shape != params.grid_shape:
         raise ValueError(f"policy shape {policy.shape} != {params.grid_shape}")
     p, g, succ_idx, fail = _policy_tables(policy.ravel(), params)
-    gp = params.gamma * p
     q = params.gamma * (1.0 - p)
+    gp = np.multiply(params.gamma, p, out=p)  # p is not needed again
     corner = fail.size - 1
     scale = 1.0 / (1.0 - q[corner])
     g[corner] *= scale
     gp[corner] *= scale
     q[corner] = 0.0
 
-    anchors, slot = np.unique(succ_idx, return_inverse=True)
+    anchors = np.flatnonzero(np.bincount(succ_idx, minlength=fail.size))
+    slot = np.searchsorted(anchors, succ_idx)  # each state's anchor
+    del succ_idx  # grid-sized arrays are 32 MB each at a_max = 2000
     rows = np.arange(anchors.size)
     u = np.zeros(anchors.size)
     W = np.zeros((anchors.size, anchors.size))
@@ -179,9 +188,13 @@ def evaluate_policy(policy: np.ndarray, params: ModelParams) -> np.ndarray:
         W[rows, slot[at]] += weight * gp[at]
         weight = weight * q[at]
         at = fail[at]
-    y = np.linalg.solve(np.eye(anchors.size) - W, u)
+    W *= -1.0  # I - W in place: the solve's own copy is the only other matrix
+    W[rows, rows] += 1.0
+    y = np.linalg.solve(W, u)
 
-    V = g + gp * y[slot]
+    V = gp * y[slot]
+    V += g
+    del W, slot
     for _ in range(params.a_max.bit_length()):  # 2^rounds > a_max chain steps
         V += q * V[fail]
         q *= q[fail]

@@ -153,7 +153,7 @@ def run_all_checks(V: np.ndarray, policy: np.ndarray, params: ModelParams,
     """The full certificate: every structural check on a solved (V, policy)
     pair, in CHECK_NAMES order."""
     tau, _ = extract_thresholds(policy)
-    reports = [
+    return [
         check_monotone(V, tol),
         check_submodular(V, tol),
         check_delta_monotone(V, params, tol),
@@ -161,5 +161,3 @@ def run_all_checks(V: np.ndarray, policy: np.ndarray, params: ModelParams,
         check_single_crossing(policy),
         check_threshold_monotone(tau),
     ]
-    # a check missing from CHECK_NAMES raises here instead of being dropped
-    return sorted(reports, key=lambda r: CHECK_NAMES.index(r.check_name))

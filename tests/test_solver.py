@@ -174,8 +174,11 @@ def test_evaluate_policy_matches_dense_solve():
                                      (1.0, 0.0), (0.3, 0.7)])
 @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.999])
 @pytest.mark.parametrize("a_max", [2, 3, 7])
-def test_evaluate_policy_is_exact_across_the_parameter_grid(lambdas, gamma, a_max):
-    p = make(a_max=a_max, lambda_s=lambdas[0], lambda_c=lambdas[1], gamma=gamma)
+@pytest.mark.parametrize("costs", [(IV["c_s"], IV["c_c"]), (0, 1)])  # ints too
+def test_evaluate_policy_is_exact_across_the_parameter_grid(lambdas, gamma, a_max,
+                                                            costs):
+    p = make(a_max=a_max, lambda_s=lambdas[0], lambda_c=lambdas[1], gamma=gamma,
+             c_s=costs[0], c_c=costs[1])
     rng = np.random.default_rng(a_max)
     for policy in (rng.integers(0, 2, p.grid_shape),
                    np.full(p.grid_shape, Action.SENSE),
