@@ -11,14 +11,17 @@
 # and `large_grid` workloads: `verify` with nothing to read (it solves in
 # process), `solve`, `verify` of the solve artifacts, `simulate` with seeds
 # 1 and 7 under every named policy and under the solved policy.csv,
-# `simulate` with a seed of more than 64 bits, and `sweep` of c_c. Each
-# command's exit code is appended to exit_codes.txt in the compared tree.
-# Exits 0 when every artifact and exit code is identical, 1 when one
-# differs.
+# `simulate` with a seed of more than 64 bits, and `sweep` of c_c. Legs at
+# the solver's edges follow: `solve` and `verify` at the smallest grid
+# (a_max=2), `solve` at gamma=0.999 (a_max=30, about 22,000 sweeps) with
+# `sweep` of gamma over 0.99,0.999, and a `solve` cut off by
+# --solver.max_iter=5 (exit 3, partial artifacts). Each command's exit code
+# is appended to exit_codes.txt in the compared tree. Exits 0 when every
+# artifact and exit code is identical, 1 when one differs.
 set -euo pipefail
 
 if [ $# -ne 3 ]; then
-    sed -n '2,17p' "$0" >&2
+    sed -n '2,20p' "$0" >&2
     exit 2
 fi
 base=$(cd "$1" && pwd)
@@ -37,6 +40,8 @@ run_side() {
                 >/dev/null || rc=$?
             echo "$rc $*" >> exit_codes.txt
         }
+        model=(--model.lambda_s=0.6 --model.lambda_c=0.9 --model.c_s=0.2
+               --model.c_c=0.1)
         for workload in reference large_grid; do
             case $workload in
                 reference) size=(--model.a_max=30 --sim.n=10000)
@@ -44,8 +49,7 @@ run_side() {
                 large_grid) size=(--model.a_max=300 --sim.n=1000)
                             sweep_values=0.1,0.4 ;;
             esac
-            common=(--model.lambda_s=0.6 --model.lambda_c=0.9 --model.c_s=0.2
-                    --model.c_c=0.1 --model.gamma=0.95 "${size[@]}"
+            common=("${model[@]}" --model.gamma=0.95 "${size[@]}"
                     --sim.horizon=400 --sim.s0=1,1)
             aoi verify "${common[@]}" --output.directory="$workload/verify"
             aoi solve "${common[@]}" --output.directory="$workload/solve"
@@ -63,6 +67,16 @@ run_side() {
             aoi sweep --axis=c_c --values="$sweep_values" "${common[@]}" \
                 --output.directory="$workload/sweep"
         done
+        aoi solve "${model[@]}" --model.gamma=0.95 --model.a_max=2 \
+            --output.directory=edges/a_max_2
+        aoi verify "${model[@]}" --model.gamma=0.95 --model.a_max=2 \
+            --output.directory=edges/a_max_2
+        aoi solve "${model[@]}" --model.gamma=0.999 --model.a_max=30 \
+            --output.directory=edges/gamma_0.999
+        aoi sweep --axis=gamma --values=0.99,0.999 "${model[@]}" \
+            --model.gamma=0.95 --model.a_max=30 --output.directory=edges/sweep_gamma
+        aoi solve "${model[@]}" --model.gamma=0.95 --model.a_max=30 \
+            --solver.max_iter=5 --output.directory=edges/max_iter_5
     )
 }
 

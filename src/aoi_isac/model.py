@@ -27,7 +27,8 @@ import numpy as np
 
 State = tuple[int, int]
 
-# 4,004,001 states; a solve at this size peaks under 200 MB above a small one.
+# 4,004,001 states; value iteration at this size peaks at about 125 MB above
+# the interpreter (three value grids during the sweeps, then extract_policy).
 # solver.evaluate_policy there peaks at about 410 MB above, most of it its
 # (2 a_max - 1)-square anchor system and LAPACK's copy of it
 MAX_A_MAX = 2000
@@ -78,6 +79,9 @@ class ModelParams:
         if not integral or not 2 <= self.a_max <= MAX_A_MAX:
             raise ValueError(f"a_max must be an integer in [2, {MAX_A_MAX}], "
                              f"got {self.a_max}")
+        # an integral 5.0 or np.int64(5) is stored as int: the grid
+        # functions need one (shapes, ranges, a_max.bit_length())
+        object.__setattr__(self, "a_max", int(self.a_max))
 
     @property
     def lambda_ordering_ok(self) -> bool:
@@ -160,8 +164,7 @@ def dynamics(alpha_s, alpha_b, params: ModelParams):
     (alpha_s', alpha_b') after action a succeeds, fail the successor after
     either action fails, and cost[a] the stage cost of action a, with a
     indexing Action. Each component keeps the shape of the age array it is
-    computed from, so gathers such as V[fail] broadcast only where they
-    need to. Entries agree with ``transition`` and ``stage_cost``.
+    computed from. Entries agree with ``transition`` and ``stage_cost``.
     """
     up_s = np.minimum(np.add(alpha_s, 1), params.a_max)
     up_b = np.minimum(np.add(alpha_b, 1), params.a_max)
@@ -170,22 +173,51 @@ def dynamics(alpha_s, alpha_b, params: ModelParams):
     return succ, (up_s, up_b), cost
 
 
-def q_grids(V: np.ndarray, params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
+def q_grids(V: np.ndarray, params: ModelParams,
+            out: tuple[np.ndarray, np.ndarray] | None = None
+            ) -> tuple[np.ndarray, np.ndarray]:
     """Both action-value grids over the full state grid, vectorised.
 
     Returns (q_sense, q_comm); entries agree with ``q_value`` at every state,
-    including saturated boundary states.
+    including saturated boundary states. The success successors and costs
+    come from ``dynamics`` on the age vectors: the costs and the sense
+    success term depend on alpha_s alone and the comm success term on
+    alpha_b alone, so they are gathered as columns and a row. The fail
+    successor is read as a shifted view of V, so no grid-sized index or
+    temporary array is built. ``out`` is an optional pair of C-contiguous
+    float64 grids, overlapping neither each other nor V, that receive the
+    results.
     """
     V = np.asarray(V, dtype=float)
     if V.shape != params.grid_shape:
         raise ValueError(f"value grid shape {V.shape} != {params.grid_shape}")
-    ages = np.arange(params.n_ages)
-    succ, fail, cost = dynamics(ages[:, None], ages[None, :], params)
-    v_fail = V[fail]
-    q_sense, q_comm = (
-        cost[a] + params.gamma * (p * V[succ[a]] + (1.0 - p) * v_fail)
-        for a, p in ((Action.SENSE, params.lambda_s), (Action.COMM, params.lambda_c)))
-    return q_sense, q_comm
+    if out is None:
+        out = (np.empty(V.shape), np.empty(V.shape))
+    else:
+        for q in out:
+            if (q.shape != V.shape or q.dtype != np.float64
+                    or not q.flags.c_contiguous):
+                raise ValueError(f"out grids must be C-contiguous float64 of "
+                                 f"shape {V.shape}, got {q.dtype} {q.shape}")
+        if (np.may_share_memory(out[0], out[1])
+                or any(np.may_share_memory(q, V) for q in out)):
+            raise ValueError("out grids must not overlap each other or V")
+    n = params.n_ages
+    ages = np.arange(n)
+    succ, _, cost = dynamics(ages[:, None], ages[None, :], params)
+    for q, a, p in zip(out, (Action.SENSE, Action.COMM),
+                       (params.lambda_s, params.lambda_c)):
+        # cost + gamma * (p * V[succ] + (1 - p) * V[fail]), operand for
+        # operand. Row-major, the fail successor (i + 1, j + 1) lies n + 1
+        # cells after (i, j); the last row and column saturate, so they
+        # repeat their neighbours (which also overwrites the wrapped cells)
+        np.multiply(1.0 - p, V.reshape(-1)[n + 1:], out=q.reshape(-1)[:-n - 1])
+        q[-1, :-1] = q[-2, :-1]
+        q[:, -1] = q[:, -2]
+        q += p * V[succ[a]]  # a column for sense, a row for comm
+        q *= params.gamma
+        q += cost[a]
+    return out[0], out[1]
 
 
 def delta_grid(V: np.ndarray, params: ModelParams) -> np.ndarray:

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from aoi_isac.model import (Action, ModelParams, Outcome, delta, delta_grid,
-                            q_grids, q_value, stage_cost, transition)
+                            dynamics, q_grids, q_value, stage_cost, transition)
 
 IV = dict(lambda_s=0.6, lambda_c=0.9, c_s=0.2, c_c=0.1, gamma=0.95)
 
@@ -168,3 +168,52 @@ def test_q_grids_rejects_wrong_shape():
     p = make(a_max=4)
     with pytest.raises(ValueError, match="shape"):
         q_grids(np.zeros((3, 3)), p)
+
+
+def q_grids_gather(V, p):
+    """Reference: both Q grids through full-grid gathers of ``dynamics``."""
+    ages = np.arange(p.n_ages)
+    succ, fail, cost = dynamics(ages[:, None], ages[None, :], p)
+    v_fail = V[fail]
+    return tuple(cost[a] + p.gamma * (lam * V[succ[a]] + (1.0 - lam) * v_fail)
+                 for a, lam in ((Action.SENSE, p.lambda_s), (Action.COMM, p.lambda_c)))
+
+
+@pytest.mark.parametrize("a_max", [2, 3, 7, 30])
+@pytest.mark.parametrize("overrides", [{}, dict(c_s=0, c_c=1, gamma=0.5),
+                                       dict(lambda_s=0.9, lambda_c=0.1, gamma=0.0)])
+def test_q_grids_equal_the_gather_reference(a_max, overrides):
+    p = make(a_max=a_max, **overrides)
+    rng = np.random.default_rng(a_max)
+    for V in (rng.random(p.grid_shape) * 40.0, np.zeros(p.grid_shape)):
+        before = V.copy()
+        ref = q_grids_gather(V, p)
+        assert all(np.array_equal(q, r) for q, r in zip(q_grids(V, p), ref))
+        # NaN-filled buffers: every cell must be written
+        out = (np.full(p.grid_shape, np.nan), np.full(p.grid_shape, np.nan))
+        got = q_grids(V, p, out=out)
+        assert got[0] is out[0] and got[1] is out[1]
+        assert all(np.array_equal(q, r) for q, r in zip(got, ref))
+        assert np.array_equal(V, before)
+
+
+def test_q_grids_rejects_unusable_out():
+    p = make(a_max=4)
+    V = np.zeros(p.grid_shape)
+    good = np.empty(p.grid_shape)
+    bad = {"shape": np.empty((4, 5)),
+           "dtype": np.empty(p.grid_shape, dtype=np.float32),
+           "contiguous": np.empty((5, 10))[:, ::2]}
+    for grid in bad.values():
+        with pytest.raises(ValueError, match="C-contiguous float64"):
+            q_grids(V, p, out=(good, grid))
+    with pytest.raises(ValueError, match="overlap"):
+        q_grids(V, p, out=(good, good))
+
+
+def test_a_max_is_stored_as_int():
+    for a_max in (5, 5.0, np.int64(5)):
+        p = make(a_max=a_max)
+        assert type(p.a_max) is int and p == make(a_max=5)
+    with pytest.raises(ValueError, match="a_max"):
+        make(a_max=5.5)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from aoi_isac.model import Action, ModelParams, delta_grid, q_value
+from aoi_isac.model import Action, ModelParams, delta_grid, dynamics, q_value
 from aoi_isac.solver import (_linear_systems, bellman_backup, evaluate_policy,
                              exhaustive_policy_oracle, extract_policy,
                              extract_thresholds, policy_iteration,
@@ -261,3 +261,62 @@ def test_policy_iteration_fixed_policy_matches_oracle_exactly():
     _, pol_pi = policy_iteration(p)
     _, pol_ex = exhaustive_policy_oracle(p)
     assert np.array_equal(pol_pi, pol_ex)
+
+
+def value_iteration_gather(p, tol, max_iter):
+    """Reference: the value-iteration loop with full-grid gathers of
+    ``dynamics``; returns (V, iterations, final sweep change)."""
+    ages = np.arange(p.n_ages)
+    succ, fail, cost = dynamics(ages[:, None], ages[None, :], p)
+    V = np.zeros(p.grid_shape)
+    for it in range(1, max_iter + 1):
+        v_fail = V[fail]
+        W = np.minimum(*(cost[a] + p.gamma * (lam * V[succ[a]] + (1.0 - lam) * v_fail)
+                         for a, lam in ((Action.SENSE, p.lambda_s),
+                                        (Action.COMM, p.lambda_c))))
+        sweep_delta = float(np.max(np.abs(W - V)))
+        V = W
+        if sweep_delta <= tol:
+            break
+    return V, it, sweep_delta
+
+
+@pytest.mark.parametrize("a_max, overrides, max_iter", [
+    (2, {}, 100_000), (3, {}, 100_000), (7, dict(c_s=0, c_c=1), 100_000),
+    (30, {}, 100_000), (30, dict(gamma=0.99), 40)])  # the last stops partial
+def test_value_iteration_equals_the_gather_loop(a_max, overrides, max_iter):
+    p = make(a_max=a_max, **overrides)
+    V, _, rep = value_iteration(p, max_iter=max_iter)
+    V_ref, iterations, sweep_delta = value_iteration_gather(p, 1e-9, max_iter)
+    assert np.array_equal(V, V_ref)
+    assert rep.iterations == iterations and rep.final_sweep_delta == sweep_delta
+    assert rep.converged == (max_iter > 40)
+
+
+def test_backup_into_out_leaves_input_and_rejects_overlap():
+    p = make(a_max=6)
+    V = np.random.default_rng(4).random(p.grid_shape) * 30.0
+    before = V.copy()
+    out = (np.full(p.grid_shape, np.nan), np.full(p.grid_shape, np.nan))
+    W = bellman_backup(V, p, out=out)
+    assert W is out[0] and np.array_equal(W, bellman_backup(V, p))
+    assert np.array_equal(V, before)
+    for overlapping in ((V, out[1]), (out[0], V[...]), (out[0], out[0])):
+        with pytest.raises(ValueError, match="overlap"):
+            bellman_backup(V, p, out=overlapping)
+    assert np.array_equal(V, before)
+    # disjoint parts of one buffer are fine
+    buf = np.empty((3,) + p.grid_shape)
+    buf[0] = V
+    assert np.array_equal(bellman_backup(buf[0], p, out=(buf[1], buf[2])), W)
+
+
+@pytest.mark.parametrize("a_max", [5, 5.0, np.int64(5)])
+def test_integral_a_max_solves_like_an_int(a_max):
+    V, policy, rep = value_iteration(make(a_max=a_max))
+    V_ref, policy_ref, rep_ref = value_iteration(make(a_max=5))
+    assert np.array_equal(V, V_ref) and np.array_equal(policy, policy_ref)
+    assert rep.iterations == rep_ref.iterations
+    assert rep.final_sweep_delta == rep_ref.final_sweep_delta
+    assert np.array_equal(evaluate_policy(policy, make(a_max=a_max)),
+                          evaluate_policy(policy, make(a_max=5)))
