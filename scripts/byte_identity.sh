@@ -15,13 +15,16 @@
 # the solver's edges follow: `solve` and `verify` at the smallest grid
 # (a_max=2), `solve` at gamma=0.999 (a_max=30, about 22,000 sweeps) with
 # `sweep` of gamma over 0.99,0.999, and a `solve` cut off by
-# --solver.max_iter=5 (exit 3, partial artifacts). Each command's exit code
-# is appended to exit_codes.txt in the compared tree. Exits 0 when every
-# artifact and exit code is identical, 1 when one differs.
+# --solver.max_iter=5 (exit 3, partial artifacts). Then `solve` and `verify`
+# at the edges of the backup's per-action constants (a_max=30): gamma=0 (two
+# sweeps), lambda_s=1 lambda_c=0 (success probabilities 1 and 0, the
+# reversed ordering) and c_s=0 c_c=0. Each command's exit code is appended
+# to exit_codes.txt in the compared tree. Exits 0 when every artifact and
+# exit code is identical, 1 when one differs.
 set -euo pipefail
 
 if [ $# -ne 3 ]; then
-    sed -n '2,20p' "$0" >&2
+    sed -n '2,23p' "$0" >&2
     exit 2
 fi
 base=$(cd "$1" && pwd)
@@ -77,6 +80,15 @@ run_side() {
             --model.gamma=0.95 --model.a_max=30 --output.directory=edges/sweep_gamma
         aoi solve "${model[@]}" --model.gamma=0.95 --model.a_max=30 \
             --solver.max_iter=5 --output.directory=edges/max_iter_5
+        for edge in gamma=0 lambda_s=1,lambda_c=0 c_s=0,c_c=0; do
+            local flags=()
+            IFS=, read -ra pairs <<< "$edge"
+            for kv in "${pairs[@]}"; do flags+=("--model.$kv"); done
+            aoi solve "${model[@]}" --model.gamma=0.95 --model.a_max=30 \
+                "${flags[@]}" --output.directory="edges/$edge"
+            aoi verify "${model[@]}" --model.gamma=0.95 --model.a_max=30 \
+                "${flags[@]}" --output.directory="edges/$edge"
+        done
     )
 }
 

@@ -19,6 +19,7 @@ and the objective is the expected discounted sum of stage costs.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import IntEnum
@@ -27,8 +28,9 @@ import numpy as np
 
 State = tuple[int, int]
 
-# 4,004,001 states; value iteration at this size peaks at about 125 MB above
-# the interpreter (three value grids during the sweeps, then extract_policy).
+# 4,004,001 states; value iteration at this size peaks at about 96 MB above
+# the interpreter (ru_maxrss, 5 sweeps): its three grids during the sweeps,
+# then V and extract_policy's two in the same room.
 # solver.evaluate_policy there peaks at about 410 MB above, most of it its
 # (2 a_max - 1)-square anchor system and LAPACK's copy of it
 MAX_A_MAX = 2000
@@ -173,54 +175,102 @@ def dynamics(alpha_s, alpha_b, params: ModelParams):
     return succ, (up_s, up_b), cost
 
 
+@functools.lru_cache(maxsize=64)
+def _backup_tables(params: ModelParams):
+    """(succ, p, fail_weight, cost) of ``q_grids``, built once per params.
+
+    succ is (2, n): the flat index into V of each action's success
+    successor, along alpha_s for sense and along alpha_b for comm. p and
+    fail_weight are the (2, 1) columns p and 1 - p, and cost is the (2, n, 1)
+    stage-cost column; index 0 is sense and 1 is comm. The arrays are shared
+    by every caller, so they are read-only.
+    """
+    n = params.n_ages
+    ages = np.arange(n)
+    succ, _, cost = dynamics(ages, ages, params)
+    tables = (np.array([s * n + b for s, b in succ]),
+              np.array([[params.lambda_s], [params.lambda_c]], dtype=float),
+              np.array([[1.0 - params.lambda_s], [1.0 - params.lambda_c]],
+                       dtype=float),
+              np.stack(cost)[:, :, None])
+    for t in tables:
+        t.flags.writeable = False
+    return tables
+
+
 def q_grids(V: np.ndarray, params: ModelParams,
-            out: tuple[np.ndarray, np.ndarray] | None = None
-            ) -> tuple[np.ndarray, np.ndarray]:
+            out: np.ndarray | tuple[np.ndarray, np.ndarray] | None = None
+            ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
     """Both action-value grids over the full state grid, vectorised.
 
-    Returns (q_sense, q_comm); entries agree with ``q_value`` at every state,
+    Returns Q of shape (2, n, n), Q[0] = q_sense and Q[1] = q_comm, which
+    unpacks as the pair; entries agree with ``q_value`` at every state,
     including saturated boundary states. The success successors and costs
-    come from ``dynamics`` on the age vectors: the costs and the sense
-    success term depend on alpha_s alone and the comm success term on
-    alpha_b alone, so they are gathered as columns and a row. The fail
-    successor is read as a shifted view of V, so no grid-sized index or
-    temporary array is built. ``out`` is an optional pair of C-contiguous
-    float64 grids, overlapping neither each other nor V, that receive the
-    results.
+    come from ``dynamics`` once per params: the costs and the sense success
+    term depend on alpha_s alone and the comm success term on alpha_b
+    alone, so they are gathered as columns and a row. The fail successor is
+    read as a shifted view of V, so no grid-sized index or temporary array
+    is built, and each step runs once for both actions.
+
+    ``out`` optionally receives the result: a float64 array of shape
+    (2, n, n) whose halves are C-contiguous and overlap neither each other
+    nor V (any leading stride, so the halves may be two grids of a larger
+    block in either order), which is returned; or a pair of such grids,
+    which is returned as a tuple and receives a copy.
     """
     V = np.asarray(V, dtype=float)
     if V.shape != params.grid_shape:
         raise ValueError(f"value grid shape {V.shape} != {params.grid_shape}")
+    n = params.n_ages
+    pair = None
     if out is None:
-        out = (np.empty(V.shape), np.empty(V.shape))
+        Q = np.empty((2, n, n))
+    elif isinstance(out, np.ndarray):
+        Q = out
+        if (Q.shape != (2, n, n) or Q.dtype != np.float64
+                or Q.strides[1:] != (8 * n, 8)):
+            raise ValueError(f"a stacked out must be float64 of shape "
+                             f"{(2, n, n)} with C-contiguous halves, got "
+                             f"{Q.dtype} {Q.shape} strides {Q.strides}")
+        if (abs(Q.strides[0]) < 8 * n * n or np.may_share_memory(Q[0], V)
+                or np.may_share_memory(Q[1], V)):
+            raise ValueError("out grids must not overlap each other or V")
     else:
-        for q in out:
+        pair = out
+        for q in pair:
             if (q.shape != V.shape or q.dtype != np.float64
                     or not q.flags.c_contiguous):
                 raise ValueError(f"out grids must be C-contiguous float64 of "
                                  f"shape {V.shape}, got {q.dtype} {q.shape}")
-        if (np.may_share_memory(out[0], out[1])
-                or any(np.may_share_memory(q, V) for q in out)):
+        if (np.may_share_memory(pair[0], pair[1])
+                or any(np.may_share_memory(q, V) for q in pair)):
             raise ValueError("out grids must not overlap each other or V")
-    n = params.n_ages
-    ages = np.arange(n)
-    succ, _, cost = dynamics(ages[:, None], ages[None, :], params)
-    for q, a, p in zip(out, (Action.SENSE, Action.COMM),
-                       (params.lambda_s, params.lambda_c)):
-        # cost + gamma * (p * V[succ] + (1 - p) * V[fail]), operand for
-        # operand. Row-major, the fail successor (i + 1, j + 1) lies n + 1
-        # cells after (i, j); the last row and column saturate, so they
-        # repeat their neighbours (which also overwrites the wrapped cells)
-        np.multiply(1.0 - p, V.reshape(-1)[n + 1:], out=q.reshape(-1)[:-n - 1])
-        q[-1, :-1] = q[-2, :-1]
-        q[:, -1] = q[:, -2]
-        q += p * V[succ[a]]  # a column for sense, a row for comm
-        q *= params.gamma
-        q += cost[a]
-    return out[0], out[1]
+        Q = np.empty((2, n, n))
+    succ, p, fail_weight, cost = _backup_tables(params)
+    # cost + gamma * (p * V[succ] + (1 - p) * V[fail]), operand for operand.
+    # Row-major, the fail successor (i + 1, j + 1) lies n + 1 cells after
+    # (i, j); the last row and column saturate, so they repeat their
+    # neighbours (which also overwrites the wrapped cells)
+    flat = V.reshape(-1)
+    np.multiply(fail_weight, flat[n + 1:], out=Q.reshape(2, -1)[:, :-n - 1])
+    Q[:, -1, :-1] = Q[:, -2, :-1]
+    Q[:, :, -1] = Q[:, :, -2]
+    v_succ = flat.take(succ)
+    v_succ *= p
+    Q[0] += v_succ[0, :, None]  # a column for sense
+    Q[1] += v_succ[1]  # a row for comm
+    Q *= params.gamma
+    Q += cost
+    if pair is None:
+        return Q
+    pair[0][...], pair[1][...] = Q
+    return pair[0], pair[1]
 
 
 def delta_grid(V: np.ndarray, params: ModelParams) -> np.ndarray:
-    """Q_sense - Q_comm over the full grid."""
-    q_sense, q_comm = q_grids(V, params)
-    return q_sense - q_comm
+    """Q_sense - Q_comm over the full grid.
+
+    The difference overwrites q_sense, so the call holds two grids beside V.
+    """
+    Q = q_grids(V, params)
+    return np.subtract(Q[0], Q[1], out=Q[0])

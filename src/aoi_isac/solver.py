@@ -11,6 +11,7 @@ policies are int arrays with 0 = sense, 1 = comm.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 
@@ -21,23 +22,32 @@ from .model import Action, ModelParams, delta_grid, dynamics, q_grids
 
 @dataclass
 class SolveReport:
+    """What value iteration did. ``sweep_deltas`` is the sup-norm change of
+    every sweep, so its last entry is ``final_sweep_delta``, and
+    ``contraction_ratio`` is the last sweep's change over the one before it
+    (NaN after a single sweep): the observed contraction, at most gamma up
+    to rounding. Neither enters the CLI artifacts."""
+
     iterations: int
     final_sweep_delta: float
     suboptimality_bound: float
     converged: bool
     wall_time: float
+    sweep_deltas: list[float]
+    contraction_ratio: float
 
 
 def bellman_backup(V: np.ndarray, params: ModelParams,
-                   out: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
+                   out: np.ndarray | tuple[np.ndarray, np.ndarray] | None = None
+                   ) -> np.ndarray:
     """One synchronous backup: pointwise min of the two action-value grids.
 
-    The input grid is read only. The result is a fresh array or, when
-    ``out`` passes two grids as in ``q_grids``, ``out[0]``, with ``out[1]``
-    left holding q_comm.
+    The input grid is read only. ``out`` is passed to ``q_grids``; the
+    result lands in its first grid (q_sense), which is returned, and the
+    second is left holding q_comm.
     """
-    q_sense, q_comm = q_grids(V, params, out=out)
-    return np.minimum(q_sense, q_comm, out=q_sense)
+    Q = q_grids(V, params, out=out)
+    return np.minimum(Q[0], Q[1], out=Q[0])
 
 
 def extract_policy(V: np.ndarray, params: ModelParams) -> np.ndarray:
@@ -67,24 +77,37 @@ def value_iteration(params: ModelParams, tol: float = 1e-9,
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
     start = time.perf_counter()
-    # three grids for the whole run: V, the backup W, and scratch for q_comm
-    # and then |W - V|; V and W swap after each sweep
-    V = np.zeros(params.grid_shape)
-    W, scratch = np.empty(params.grid_shape), np.empty(params.grid_shape)
-    sweep_delta = np.inf
+    # three grids for the whole run, in one block: V and the stacked pair
+    # that the backup fills. The backup W lands in the pair's first grid and
+    # becomes V; the second takes q_comm and then |W - V|. So V moves from
+    # block[0] to block[1] to block[2] and back, and the pair is the other
+    # two grids, W's first
+    block = np.zeros((3,) + params.grid_shape)
+    rotation = (block[1:3], block[2::-2], block[0:2])
+    V = block[0]
+    sweep_deltas = []
     iterations = 0
     converged = False
     while iterations < max_iter:
+        Q = rotation[iterations % 3]
         iterations += 1
-        bellman_backup(V, params, out=(W, scratch))
-        np.subtract(W, V, out=scratch)
+        W = bellman_backup(V, params, out=Q)
+        scratch = np.subtract(W, V, out=Q[1])
         sweep_delta = float(np.abs(scratch, out=scratch).max())
-        V, W = W, V
+        sweep_deltas.append(sweep_delta)
+        V = W
         if sweep_delta <= tol:
             converged = True
             break
 
-    del W, scratch  # before extract_policy allocates its own grids
+    # keep V alone: move it to block[0] and shrink the block to that grid
+    # in place, so the caller holds one grid and extract_policy's two fit
+    # in the memory the sweeps used
+    if iterations % 3:
+        block[0] = V
+    del V, W, Q, scratch, rotation
+    block.resize(params.grid_shape)
+    V = block
     bound = params.gamma * sweep_delta / (1.0 - params.gamma)
     report = SolveReport(
         iterations=iterations,
@@ -92,6 +115,9 @@ def value_iteration(params: ModelParams, tol: float = 1e-9,
         suboptimality_bound=bound,
         converged=converged,
         wall_time=time.perf_counter() - start,
+        sweep_deltas=sweep_deltas,
+        contraction_ratio=(sweep_delta / sweep_deltas[-2] if iterations > 1
+                           else math.nan),
     )
     return V, extract_policy(V, params), report
 

@@ -48,6 +48,14 @@ def test_solve_writes_all_artifacts(tmp_path):
     assert pgm[0] == "P2" and pgm[1] == "9 9" and pgm[2] == "255"
 
 
+def test_solve_report_json_leaves_out_the_residual_trace(tmp_path):
+    assert run(tmp_path, "solve", *small_flags()) == 0
+    report = json.loads(read_bytes(tmp_path, "solve_report.json"))
+    assert set(report) == {
+        "config", "status", "converged", "iterations", "final_sweep_delta",
+        "suboptimality_bound", "single_crossing_ok", "lambda_ordering_ok", "tau"}
+
+
 def test_solve_artifacts_are_byte_identical_across_reruns(tmp_path):
     args = ("solve", *small_flags())
     assert run(tmp_path, *args) == 0

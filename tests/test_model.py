@@ -5,8 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
-from aoi_isac.model import (Action, ModelParams, Outcome, delta, delta_grid,
-                            dynamics, q_grids, q_value, stage_cost, transition)
+from aoi_isac.model import (Action, ModelParams, Outcome, _backup_tables, delta,
+                            delta_grid, dynamics, q_grids, q_value, stage_cost,
+                            transition)
+from aoi_isac.solver import bellman_backup
 
 IV = dict(lambda_s=0.6, lambda_c=0.9, c_s=0.2, c_c=0.1, gamma=0.95)
 
@@ -209,6 +211,84 @@ def test_q_grids_rejects_unusable_out():
             q_grids(V, p, out=(good, grid))
     with pytest.raises(ValueError, match="overlap"):
         q_grids(V, p, out=(good, good))
+
+
+@pytest.mark.parametrize("a_max", [2, 7, 30])
+@pytest.mark.parametrize("overrides", [{}, dict(c_s=0, c_c=0, gamma=0.5),
+                                       dict(lambda_s=1.0, lambda_c=0.0, gamma=0.0)])
+def test_stacked_out_in_every_rotation_view_equals_the_gather_reference(
+        a_max, overrides):
+    # value iteration's three grids: V in one slot, the stacked pair in the
+    # other two, in the order block[1:3], block[2::-2], block[0:2]
+    p = make(a_max=a_max, **overrides)
+    rng = np.random.default_rng(a_max)
+    for v_slot, view in ((0, np.s_[1:3]), (1, np.s_[2::-2]), (2, np.s_[0:2])):
+        block = np.full((3,) + p.grid_shape, np.nan)
+        block[v_slot] = rng.random(p.grid_shape) * 40.0
+        V = block[v_slot]
+        before = V.copy()
+        ref = q_grids_gather(V, p)
+        out = block[view]
+        got = q_grids(V, p, out=out)
+        assert got is out
+        assert all(np.array_equal(q, r) for q, r in zip(got, ref))
+        out[...] = np.nan
+        W = bellman_backup(V, p, out=out)
+        assert np.shares_memory(W, out[0]) and W.shape == p.grid_shape
+        assert np.array_equal(W, np.minimum(*ref))
+        assert np.array_equal(out[1], ref[1])
+        assert np.array_equal(V, before)
+
+
+def test_stacked_out_rejects_overlap_and_bad_layout():
+    p = make(a_max=4)
+    n = p.n_ages
+    block = np.zeros((3, n, n))
+    for v_slot, view in ((0, np.s_[0:2]), (1, np.s_[1:3]), (2, np.s_[2::-2])):
+        # one half of the pair is V itself
+        with pytest.raises(ValueError, match="overlap"):
+            q_grids(block[v_slot], p, out=block[view])
+    buf = np.zeros(3 * n * n)
+    grid_strides = (8 * n, 8)
+    halves_overlap = {
+        "zero stride": np.lib.stride_tricks.as_strided(
+            buf, (2, n, n), (0,) + grid_strides),
+        "one row apart": np.lib.stride_tricks.as_strided(
+            buf, (2, n, n), (8 * n,) + grid_strides),
+        "one cell back": np.lib.stride_tricks.as_strided(
+            buf[1:], (2, n, n), (-8,) + grid_strides),
+    }
+    V = np.zeros(p.grid_shape)
+    for out in halves_overlap.values():
+        with pytest.raises(ValueError, match="overlap"):
+            q_grids(V, p, out=out)
+    bad_layout = {
+        "shape": np.empty((3, n, n)),
+        "dtype": np.empty((2, n, n), dtype=np.float32),
+        "strided halves": np.empty((2, n, 2 * n))[:, :, ::2],
+        "transposed halves": np.empty((2, n, n)).transpose(0, 2, 1),
+    }
+    for out in bad_layout.values():
+        with pytest.raises(ValueError, match="C-contiguous halves"):
+            q_grids(V, p, out=out)
+    with pytest.raises(ValueError, match="overlap"):
+        bellman_backup(block[0], p, out=block[0:2])
+
+
+def test_backup_tables_are_read_only_and_per_params():
+    p = make(a_max=5)
+    tables = _backup_tables(p)
+    assert _backup_tables(make(a_max=5)) is tables  # built once per params
+    for t in tables:
+        assert not t.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            t.flat[0] = 0
+    other = _backup_tables(make(a_max=5, c_c=0.3))
+    assert other is not tables
+    assert not np.array_equal(other[-1], tables[-1])  # the cost columns
+    V = np.random.default_rng(5).random(p.grid_shape)
+    assert np.array_equal(q_grids(V, make(a_max=5, c_c=0.3))[1],
+                          q_grids_gather(V, make(a_max=5, c_c=0.3))[1])
 
 
 def test_a_max_is_stored_as_int():

@@ -105,6 +105,51 @@ def test_value_iteration_input_validation():
         value_iteration(p, max_iter=0)
 
 
+@pytest.mark.parametrize("overrides, max_iter", [
+    ({}, 100_000), (dict(gamma=0.99), 40), (dict(gamma=0.0), 100_000),
+    ({}, 1)])  # 40 and 1 stop partial
+def test_solve_report_carries_the_residual_trace(overrides, max_iter):
+    p = make(a_max=10, **overrides)
+    V, _, rep = value_iteration(p, max_iter=max_iter)
+    d = np.array(rep.sweep_deltas)
+    assert len(d) == rep.iterations and d[-1] == rep.final_sweep_delta
+    # every entry is that sweep's sup-norm change, as the plain loop finds it
+    W, ref = np.zeros(p.grid_shape), []
+    for _ in range(rep.iterations):
+        W, prev = bellman_backup(W, p), W
+        ref.append(float(np.max(np.abs(W - prev))))
+    assert rep.sweep_deltas == ref
+    # T is a gamma-contraction in the sup norm, so each change is at most
+    # gamma times the one before, up to the rounding of cells of V's size
+    rounding = 8 * np.finfo(float).eps * np.abs(V).max()
+    assert np.all(d[1:] <= p.gamma * d[:-1] + rounding)
+    if rep.iterations > 1:
+        assert rep.contraction_ratio == d[-1] / d[-2]
+        assert rep.contraction_ratio <= p.gamma + rounding / d[-2]
+    else:
+        assert np.isnan(rep.contraction_ratio)
+
+
+@pytest.mark.parametrize("max_iter", [1, 2, 3, 4])  # V ends in every slot
+def test_value_iteration_returns_v_as_a_grid_of_its_own(max_iter):
+    p = make(a_max=6)
+    V, policy, rep = value_iteration(p, tol=1e-12, max_iter=max_iter)
+    assert rep.iterations == max_iter
+    assert V.flags.owndata and V.flags.c_contiguous and V.shape == p.grid_shape
+    ref = np.zeros(p.grid_shape)
+    for _ in range(max_iter):
+        ref = bellman_backup(ref, p)
+    assert np.array_equal(V, ref)
+    assert np.array_equal(policy, extract_policy(ref, p))
+
+
+def test_contraction_ratio_approaches_gamma():
+    for gamma in (0.5, 0.95):
+        _, _, rep = value_iteration(make(a_max=30, gamma=gamma))
+        assert rep.converged
+        assert rep.contraction_ratio == pytest.approx(gamma, rel=1e-3)
+
+
 def test_value_iteration_rejects_nan_tol():
     with pytest.raises(ValueError, match="tol"):
         value_iteration(make(a_max=5), tol=float("nan"), max_iter=50)
