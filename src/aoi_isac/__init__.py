@@ -15,7 +15,8 @@ from .sim import (AlternatingPolicy, RandomCommPolicy, SimEstimate, Trajectory,
                   truncation_bias_bound)
 from .solver import (SolveReport, bellman_backup, evaluate_policy,
                      exhaustive_policy_oracle, extract_policy,
-                     extract_thresholds, policy_iteration, value_iteration)
+                     extract_thresholds, policy_iteration, solve,
+                     value_iteration)
 from .structure import (StructureReport, check_delta_monotone, check_monotone,
                         check_q_submodular, check_single_crossing,
                         check_submodular, check_threshold_monotone,
@@ -32,5 +33,5 @@ __all__ = [
     "delta", "delta_grid", "estimate_value", "evaluate_policy",
     "exhaustive_policy_oracle", "extract_policy", "extract_thresholds",
     "policy_iteration", "q_grids", "q_value", "rollout", "run_all_checks",
-    "stage_cost", "transition", "truncation_bias_bound", "value_iteration",
+    "solve", "stage_cost", "transition", "truncation_bias_bound", "value_iteration",
 ]

@@ -64,8 +64,8 @@ def _outdir(cfg: RunConfig) -> Path:
 
 
 def _solve(cfg: RunConfig):
-    V, policy, report = solver.value_iteration(cfg.model, tol=cfg.solver.tol,
-                                               max_iter=cfg.solver.max_iter)
+    V, policy, report = solver.solve(cfg.model, tol=cfg.solver.tol,
+                                     max_iter=cfg.solver.max_iter)
     tau, sc_ok = solver.extract_thresholds(policy)
     return V, policy, tau, sc_ok, report
 
@@ -103,6 +103,7 @@ def cmd_solve(cfg: RunConfig) -> int:
     V, policy, tau, sc_ok, report = _solve(cfg)
     _write_solve_artifacts(cfg, V, policy, tau, sc_ok, report)
     print(f"solve: iterations={report.iterations} "
+          f"policy_evaluations={len(report.policy_changes)} "
           f"final_sweep_delta={report.final_sweep_delta:.3e} "
           f"suboptimality_bound={report.suboptimality_bound:.3e} "
           f"wall_time={report.wall_time:.3f}s")
@@ -223,8 +224,8 @@ def cmd_sweep(cfg: RunConfig, axis: str, values: list[float]) -> int:
             row["status"] = "rejected"
             rows.append(row)
             continue
-        V, policy, report = solver.value_iteration(params, tol=cfg.solver.tol,
-                                                   max_iter=cfg.solver.max_iter)
+        V, policy, report = solver.solve(params, tol=cfg.solver.tol,
+                                         max_iter=cfg.solver.max_iter)
         if not report.converged:
             any_nonconverged = True
             row["status"] = "not_converged"
@@ -272,7 +273,7 @@ def _build_parser() -> argparse.ArgumentParser:
                     "scheduling problem.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="value iteration; writes grids and report")
+    p_solve = sub.add_parser("solve", help="solve the MDP; writes grids and report")
     p_verify = sub.add_parser("verify", help="structural checks on solve artifacts")
     p_sim = sub.add_parser("simulate", help="Monte Carlo estimate of a policy")
     p_sim.add_argument("--policy", default="optimal",

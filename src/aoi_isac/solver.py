@@ -1,6 +1,9 @@
 """Dynamic-programming solvers for the two-age scheduling MDP.
 
-Value iteration is the workhorse; policy iteration and exhaustive policy
+``solve`` is the workhorse: value-iteration sweeps until the greedy policy
+settles, then policy iteration from that policy, then sweeps again until the
+sweep change meets the tolerance. Plain value iteration is the reference it
+is tested against; policy iteration from a cold start and exhaustive policy
 enumeration (tiny grids only) serve as independent cross-checks. Policy
 evaluation is exact at every grid size: ``evaluate_policy`` solves for the
 values of the at most 2 a_max - 1 anchor states that a success can reach,
@@ -22,11 +25,17 @@ from .model import Action, ModelParams, delta_grid, dynamics, q_grids
 
 @dataclass
 class SolveReport:
-    """What value iteration did. ``sweep_deltas`` is the sup-norm change of
-    every sweep, so its last entry is ``final_sweep_delta``, and
-    ``contraction_ratio`` is the last sweep's change over the one before it
-    (NaN after a single sweep): the observed contraction, at most gamma up
-    to rounding. Neither enters the CLI artifacts."""
+    """What a solve did. ``iterations`` counts every Bellman sweep and
+    ``sweep_deltas`` holds the sup-norm change of each, so its last entry is
+    ``final_sweep_delta``. ``contraction_ratio`` is the last sweep's change
+    over the one before it (NaN after a single sweep): in plain value
+    iteration the observed contraction, at most gamma up to rounding. When
+    the last sweep follows a jump to an exact policy value, the ratio is that
+    sweep's change over the last warm-up sweep's, far below gamma: it
+    measures the jump, not the contraction. ``policy_changes`` has one entry
+    per exact policy evaluation, the number of states the greedy improvement
+    after it changed (so the last is 0); it is empty when no jump happened.
+    None of the last three enters the CLI artifacts."""
 
     iterations: int
     final_sweep_delta: float
@@ -35,18 +44,23 @@ class SolveReport:
     wall_time: float
     sweep_deltas: list[float]
     contraction_ratio: float
+    policy_changes: list[int]
 
 
 def bellman_backup(V: np.ndarray, params: ModelParams,
-                   out: np.ndarray | tuple[np.ndarray, np.ndarray] | None = None
-                   ) -> np.ndarray:
+                   out: np.ndarray | tuple[np.ndarray, np.ndarray] | None = None,
+                   greedy: np.ndarray | None = None) -> np.ndarray:
     """One synchronous backup: pointwise min of the two action-value grids.
 
     The input grid is read only. ``out`` is passed to ``q_grids``; the
     result lands in its first grid (q_sense), which is returned, and the
-    second is left holding q_comm.
+    second is left holding q_comm. ``greedy``, a bool grid, optionally
+    receives V's greedy policy on the way: True (comm) where
+    Q_sense > Q_comm, so ties go to sense as in ``extract_policy``.
     """
     Q = q_grids(V, params, out=out)
+    if greedy is not None:
+        np.greater(Q[0], Q[1], out=greedy)
     return np.minimum(Q[0], Q[1], out=Q[0])
 
 
@@ -56,6 +70,40 @@ def extract_policy(V: np.ndarray, params: ModelParams) -> np.ndarray:
     Ties go to sense, which keeps oracle comparisons reproducible.
     """
     return (delta_grid(V, params) > 0.0).astype(np.int8)
+
+
+def _check_budget(tol: float, max_iter: int) -> None:
+    if not tol > 0.0:  # NaN too
+        raise ValueError(f"tol must be > 0, got {tol}")
+    if max_iter < 1:
+        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
+
+
+def _sweep(V: np.ndarray, params: ModelParams, Q: np.ndarray,
+           greedy: np.ndarray | None = None) -> float:
+    """One Bellman sweep in place: V becomes TV, with the stacked pair Q as
+    scratch; returns the sup-norm change. ``greedy`` is passed to
+    ``bellman_backup``."""
+    W = bellman_backup(V, params, out=Q, greedy=greedy)
+    change = np.subtract(W, V, out=Q[1])
+    V[...] = W
+    return float(np.abs(change, out=change).max())
+
+
+def _report(params: ModelParams, start: float, sweep_deltas: list[float],
+            tol: float, policy_changes: list[int]) -> SolveReport:
+    sweep_delta = sweep_deltas[-1]
+    return SolveReport(
+        iterations=len(sweep_deltas),
+        final_sweep_delta=sweep_delta,
+        suboptimality_bound=params.gamma * sweep_delta / (1.0 - params.gamma),
+        converged=sweep_delta <= tol,
+        wall_time=time.perf_counter() - start,
+        sweep_deltas=sweep_deltas,
+        contraction_ratio=(sweep_delta / sweep_deltas[-2]
+                           if len(sweep_deltas) > 1 else math.nan),
+        policy_changes=policy_changes,
+    )
 
 
 def value_iteration(params: ModelParams, tol: float = 1e-9,
@@ -71,54 +119,68 @@ def value_iteration(params: ModelParams, tol: float = 1e-9,
     partial grids are still returned; the caller decides whether to accept
     them.
     """
-    if not tol > 0.0:  # NaN too
-        raise ValueError(f"tol must be > 0, got {tol}")
-    if max_iter < 1:
-        raise ValueError(f"max_iter must be >= 1, got {max_iter}")
-
+    _check_budget(tol, max_iter)
     start = time.perf_counter()
-    # three grids for the whole run, in one block: V and the stacked pair
-    # that the backup fills. The backup W lands in the pair's first grid and
-    # becomes V; the second takes q_comm and then |W - V|. So V moves from
-    # block[0] to block[1] to block[2] and back, and the pair is the other
-    # two grids, W's first
-    block = np.zeros((3,) + params.grid_shape)
-    rotation = (block[1:3], block[2::-2], block[0:2])
-    V = block[0]
+    # V and the stacked pair that each backup fills, for the whole run
+    V = np.zeros(params.grid_shape)
+    Q = np.empty((2,) + params.grid_shape)
     sweep_deltas = []
-    iterations = 0
-    converged = False
-    while iterations < max_iter:
-        Q = rotation[iterations % 3]
-        iterations += 1
-        W = bellman_backup(V, params, out=Q)
-        scratch = np.subtract(W, V, out=Q[1])
-        sweep_delta = float(np.abs(scratch, out=scratch).max())
-        sweep_deltas.append(sweep_delta)
-        V = W
-        if sweep_delta <= tol:
-            converged = True
+    while len(sweep_deltas) < max_iter:
+        sweep_deltas.append(_sweep(V, params, Q))
+        if sweep_deltas[-1] <= tol:
             break
+    del Q  # extract_policy's two grids fit in the memory the pair held
+    report = _report(params, start, sweep_deltas, tol, [])
+    return V, extract_policy(V, params), report
 
-    # keep V alone: move it to block[0] and shrink the block to that grid
-    # in place, so the caller holds one grid and extract_policy's two fit
-    # in the memory the sweeps used
-    if iterations % 3:
-        block[0] = V
-    del V, W, Q, scratch, rotation
-    block.resize(params.grid_shape)
-    V = block
-    bound = params.gamma * sweep_delta / (1.0 - params.gamma)
-    report = SolveReport(
-        iterations=iterations,
-        final_sweep_delta=sweep_delta,
-        suboptimality_bound=bound,
-        converged=converged,
-        wall_time=time.perf_counter() - start,
-        sweep_deltas=sweep_deltas,
-        contraction_ratio=(sweep_delta / sweep_deltas[-2] if iterations > 1
-                           else math.nan),
-    )
+
+def solve(params: ModelParams, tol: float = 1e-9,
+          max_iter: int = 100_000) -> tuple[np.ndarray, np.ndarray, SolveReport]:
+    """Value iteration that jumps to policy iteration once its greedy policy
+    settles (modified policy iteration); the same contract as
+    ``value_iteration``.
+
+    Warm-up: Bellman sweeps from V = 0, each recording the greedy policy of
+    the grid it starts from. Jump: at the first sweep whose greedy policy
+    equals the previous sweep's, policy iteration from that policy replaces
+    V by the exact value of a policy that is greedy for its own value.
+    Finish: Bellman sweeps from there until the sweep change drops to tol.
+    ``max_iter`` bounds all sweeps; the jump needs one left for the finish,
+    so a run cut off or converged before it is value iteration's, bit for
+    bit. ``suboptimality_bound`` is gamma / (1 - gamma) times the final
+    sweep change, an a-posteriori bound whichever phase the sweep was in.
+    """
+    _check_budget(tol, max_iter)
+    start = time.perf_counter()
+    # V and the backup's stacked pair share one block. Freeing a buffer of
+    # at most 32 MiB raises glibc's dynamic mmap threshold to its size, and
+    # the evaluation's smaller temporaries then come from the heap and stay
+    # resident: at a_max = 2000 a lone 32 MB V freed at the jump adds 38 MB
+    # to the peak, the 96 MB block nothing
+    grids = np.zeros((3,) + params.grid_shape)
+    V, Q = grids[0], grids[1:]
+    greedy = np.empty((2,) + params.grid_shape, dtype=bool)  # this sweep's, the last one's
+    sweep_deltas = []
+    while len(sweep_deltas) < max_iter:
+        k = len(sweep_deltas)
+        sweep_deltas.append(_sweep(V, params, Q, greedy=greedy[k % 2]))
+        if sweep_deltas[-1] <= tol or (k and np.array_equal(*greedy)):
+            break
+    policy_changes = []
+    if sweep_deltas[-1] <= tol or len(sweep_deltas) == max_iter:
+        V = V.copy()  # one grid for the caller, not the block
+        del Q, grids, greedy
+    else:  # the greedy policy settled: jump
+        policy = greedy[k % 2].astype(np.int8)
+        del V, Q, grids, greedy  # the evaluations never hold the sweep grids
+        V, _, policy_changes = _improve(policy, params)
+        Q = np.empty((2,) + params.grid_shape)
+        while len(sweep_deltas) < max_iter:
+            sweep_deltas.append(_sweep(V, params, Q))
+            if sweep_deltas[-1] <= tol:
+                break
+        del Q
+    report = _report(params, start, sweep_deltas, tol, policy_changes)
     return V, extract_policy(V, params), report
 
 
@@ -247,23 +309,36 @@ def evaluate_policy(policy: np.ndarray, params: ModelParams) -> np.ndarray:
     return V.reshape(params.grid_shape)
 
 
-def policy_iteration(params: ModelParams,
-                     max_sweeps: int = 1000) -> tuple[np.ndarray, np.ndarray]:
-    """Alternate exact policy evaluation (``evaluate_policy``) with greedy
-    improvement (ties to sense) until the policy is stable; returns
-    (V, policy).
+def _improve(policy: np.ndarray, params: ModelParams, max_sweeps: int = 1000
+             ) -> tuple[np.ndarray, np.ndarray, list[int]]:
+    """Policy iteration from ``policy``: alternate exact evaluation with
+    greedy improvement (ties to sense) until the policy is stable. Returns
+    (V, policy, changes), changes holding the number of states each
+    improvement changed, one per evaluation.
 
     A finite MDP with a fixed tie rule must stabilise, so exceeding
     max_sweeps signals an implementation fault and raises.
     """
-    policy = extract_policy(np.zeros(params.grid_shape), params)
-    for _ in range(max_sweeps):
+    changes = []
+    while len(changes) < max_sweeps:
         V = evaluate_policy(policy, params)
         improved = extract_policy(V, params)
-        if np.array_equal(improved, policy):
-            return V, policy
-        policy = improved
+        changes.append(int(np.count_nonzero(improved != policy)))
+        if not changes[-1]:
+            return V, policy, changes
+        policy, V = improved, None  # no stale grid beside the next evaluation
     raise RuntimeError(f"policy iteration did not stabilise within {max_sweeps} sweeps")
+
+
+def policy_iteration(params: ModelParams,
+                     max_sweeps: int = 1000) -> tuple[np.ndarray, np.ndarray]:
+    """Policy iteration from the greedy policy of V = 0: alternate exact
+    evaluation (``evaluate_policy``) with greedy improvement (ties to sense)
+    until the policy is stable; returns (V, policy). Raises RuntimeError
+    after max_sweeps evaluations."""
+    policy = extract_policy(np.zeros(params.grid_shape), params)
+    V, policy, _ = _improve(policy, params, max_sweeps)
+    return V, policy
 
 
 def exhaustive_policy_oracle(params: ModelParams,

@@ -387,3 +387,10 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert "iterations=" in proc.stdout
     assert (tmp_path / "out" / "value.csv").exists()
+
+
+def test_solve_prints_the_number_of_policy_evaluations(tmp_path, capsys):
+    assert run(tmp_path, "solve", *small_flags(a_max=30)) == 0
+    out = capsys.readouterr().out
+    assert "policy_evaluations=" in out and "policy_evaluations=0 " not in out
+    assert "policy_changes" not in read_bytes(tmp_path, "solve_report.json").decode()

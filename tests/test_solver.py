@@ -1,13 +1,16 @@
 """Solver tests: backup properties, value/policy iteration, oracles, thresholds."""
 
+import cProfile
+import sys
+
 import numpy as np
 import pytest
 
 from aoi_isac.model import Action, ModelParams, delta_grid, dynamics, q_value
-from aoi_isac.solver import (_linear_systems, bellman_backup, evaluate_policy,
-                             exhaustive_policy_oracle, extract_policy,
-                             extract_thresholds, policy_iteration,
-                             value_iteration)
+from aoi_isac.solver import (_improve, _linear_systems, bellman_backup,
+                             evaluate_policy, exhaustive_policy_oracle,
+                             extract_policy, extract_thresholds,
+                             policy_iteration, solve, value_iteration)
 
 IV = dict(lambda_s=0.6, lambda_c=0.9, c_s=0.2, c_c=0.1, gamma=0.95)
 
@@ -365,3 +368,109 @@ def test_integral_a_max_solves_like_an_int(a_max):
     assert rep.final_sweep_delta == rep_ref.final_sweep_delta
     assert np.array_equal(evaluate_policy(policy, make(a_max=a_max)),
                           evaluate_policy(policy, make(a_max=5)))
+
+
+def traced(fn, *args):
+    """fn(*args) under a no-op line tracer; the caller's tracer is restored."""
+    def tracer(frame, event, arg):
+        return tracer
+    previous = sys.gettrace()
+    sys.settrace(tracer)
+    try:
+        return fn(*args)
+    finally:
+        sys.settrace(previous)
+
+
+def profiled(fn, *args):
+    return cProfile.Profile().runcall(fn, *args)
+
+
+@pytest.mark.parametrize("run", [traced, profiled])
+@pytest.mark.parametrize("fn", [value_iteration, solve])
+def test_solvers_run_alike_under_a_tracer_or_profiler(run, fn):
+    # a tracer holds extra references to the frame's locals, so a solver
+    # must not depend on reference counts (ndarray.resize does)
+    p = make(a_max=12)
+    V, policy, rep = run(fn, p)
+    V_ref, policy_ref, rep_ref = fn(p)
+    assert np.array_equal(V, V_ref) and np.array_equal(policy, policy_ref)
+    assert rep.iterations == rep_ref.iterations
+    assert rep.sweep_deltas == rep_ref.sweep_deltas
+
+
+EDGES = [dict(lambda_s=1.0, lambda_c=0.0), dict(c_s=0.0, c_c=0.0)]
+
+
+@pytest.mark.parametrize("a_max, overrides", [
+    *(pytest.param(a_max, dict(gamma=gamma), id=f"a_max={a_max}-gamma={gamma}")
+      for a_max in (2, 8, 30, 60) for gamma in (0.0, 0.5, 0.95, 0.99, 0.999)),
+    *(pytest.param(30, edge, id=",".join(f"{k}={v:g}" for k, v in edge.items()))
+      for edge in EDGES)])
+def test_solve_finds_value_iterations_policy(a_max, overrides):
+    p = make(a_max=a_max, **overrides)
+    tol = 1e-9
+    V, policy, rep = solve(p, tol=tol)
+    V_vi, policy_vi, rep_vi = value_iteration(p, tol=tol)
+    assert rep.converged and rep_vi.converged
+    assert np.array_equal(policy, policy_vi)
+    assert np.max(np.abs(V - V_vi)) <= rep_vi.suboptimality_bound + 1e-10
+    assert rep.final_sweep_delta <= tol
+    rounding = 16 * np.finfo(float).eps * np.max(np.abs(V))
+    residual = np.max(np.abs(bellman_backup(V, p) - V))
+    assert residual <= p.gamma * rep.final_sweep_delta + rounding
+    assert rep.iterations == len(rep.sweep_deltas)
+    assert rep.suboptimality_bound == (
+        p.gamma * rep.final_sweep_delta / (1 - p.gamma))
+    if rep.policy_changes:
+        assert rep.policy_changes[-1] == 0 and all(rep.policy_changes[:-1])
+
+
+# the greedy policy settles at sweep 7 here; cut off there, no sweep is
+# left to finish a jump
+@pytest.mark.parametrize("max_iter", [5, 7])
+def test_solve_cut_off_before_the_jump_is_value_iteration(max_iter):
+    p = make(a_max=30)
+    V, policy, rep = solve(p, tol=1e-9, max_iter=max_iter)
+    V_vi, policy_vi, rep_vi = value_iteration(p, tol=1e-9, max_iter=max_iter)
+    assert not rep.converged and rep.policy_changes == []
+    assert np.array_equal(V, V_vi) and np.array_equal(policy, policy_vi)
+    assert rep.iterations == rep_vi.iterations == max_iter
+    assert rep.sweep_deltas == rep_vi.sweep_deltas
+    assert solve(p, tol=1e-9, max_iter=8)[2].policy_changes == [0]
+
+
+def test_solve_zero_discount_converges_in_two_sweeps_without_a_jump():
+    p = make(a_max=10, gamma=0.0)
+    V, policy, rep = solve(p)
+    V_vi, _, _ = value_iteration(p)
+    assert rep.converged and rep.iterations == 2 and rep.policy_changes == []
+    assert np.array_equal(V, V_vi) and np.all(policy == Action.COMM)
+
+
+def test_solve_jumps_once_the_greedy_policy_settles():
+    p = make(a_max=30)
+    V, policy, rep = solve(p)
+    _, _, rep_vi = value_iteration(p)
+    assert rep.policy_changes and rep.iterations < 20 < rep_vi.iterations
+    # the jump lands on a fixed point up to rounding, so one finishing
+    # sweep meets the tolerance
+    assert rep.final_sweep_delta < 1e-11 < rep.sweep_deltas[-2]
+
+
+def test_solve_input_validation():
+    with pytest.raises(ValueError, match="tol"):
+        solve(make(a_max=4), tol=float("nan"))
+    with pytest.raises(ValueError, match="max_iter"):
+        solve(make(a_max=4), max_iter=0)
+
+
+def test_policy_improvement_bound_raises():
+    p = make(a_max=8)
+    always_comm = np.full(p.grid_shape, Action.COMM, dtype=np.int8)
+    with pytest.raises(RuntimeError, match="stabilise"):
+        _improve(always_comm, p, max_sweeps=1)
+    V, policy, changes = _improve(always_comm, p)
+    V_pi, policy_pi = policy_iteration(p)
+    assert np.array_equal(policy, policy_pi) and np.allclose(V, V_pi)
+    assert len(changes) >= 2 and changes[-1] == 0 and changes[0] > 0
