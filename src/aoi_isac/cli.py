@@ -79,7 +79,7 @@ def _write_solve_artifacts(cfg: RunConfig, V, policy, tau, sc_ok, report) -> Non
         gridio.write_grid_csv(out / "value.csv", V, comments)
         gridio.write_grid_csv(out / "policy.csv", policy, comments, integer=True)
         tau_lines = [f"# {c}" for c in comments] + ["alpha_b,tau"]
-        tau_lines += [f"{j},{int(t)}" for j, t in enumerate(tau)]
+        tau_lines += [f"{j},{t}" for j, t in enumerate(tau.tolist())]
         (out / "thresholds.csv").write_text("\n".join(tau_lines) + "\n")
     if "json" in formats:
         gridio.write_json(out / "solve_report.json", {
@@ -91,7 +91,7 @@ def _write_solve_artifacts(cfg: RunConfig, V, policy, tau, sc_ok, report) -> Non
             "suboptimality_bound": report.suboptimality_bound,
             "single_crossing_ok": sc_ok,
             "lambda_ordering_ok": cfg.model.lambda_ordering_ok,
-            "tau": [int(t) for t in tau],
+            "tau": tau.tolist(),
         })
     if "ascii" in formats:
         (out / "decision_map.txt").write_text(
@@ -126,9 +126,13 @@ def cmd_verify(cfg: RunConfig) -> int:
     if have_v:
         V, _ = gridio.read_grid_csv(value_path)
         policy, _ = gridio.read_policy_csv(policy_path)
-        if V.shape != cfg.model.grid_shape or policy.shape != cfg.model.grid_shape:
-            print(f"error: artifact grids {V.shape} do not match "
-                  f"model.a_max={cfg.model.a_max}", file=sys.stderr)
+        mismatched = [f"{path.name} {grid.shape}"
+                      for path, grid in ((value_path, V), (policy_path, policy))
+                      if grid.shape != cfg.model.grid_shape]
+        if mismatched:
+            print(f"error: artifact grids {', '.join(mismatched)} do not match "
+                  f"model.a_max={cfg.model.a_max} {cfg.model.grid_shape}",
+                  file=sys.stderr)
             return EXIT_BAD_CONFIG
         source = "artifacts"
     else:
@@ -238,7 +242,7 @@ def cmd_sweep(cfg: RunConfig, axis: str, values: list[float]) -> int:
         row["status"] = "ok" if passed else "check_failed"
         row["checks"] = {r.check_name: r.passed for r in reports}
         row["lambda_ordering_ok"] = params.lambda_ordering_ok
-        row["tau"] = [int(t) for t in tau]
+        row["tau"] = tau.tolist()
         rows.append(row)
         print(f"sweep: {axis}={value}: {row['status']}")
 

@@ -193,14 +193,10 @@ def extract_thresholds(policy: np.ndarray) -> tuple[np.ndarray, bool]:
     block followed by a comm block; any comm-to-sense flip while alpha_s
     ascends clears it, and that row's tau is still the last sense index.
     """
-    policy = np.asarray(policy)
-    tau = np.empty(policy.shape[1], dtype=int)
-    single_crossing_ok = True
-    for j in range(policy.shape[1]):
-        sense_idx = np.flatnonzero(policy[:, j] == Action.SENSE)
-        tau[j] = sense_idx[-1] if sense_idx.size else -1
-        if sense_idx.size != tau[j] + 1:
-            single_crossing_ok = False
+    sense = np.asarray(policy) == Action.SENSE
+    rows = np.arange(sense.shape[0])[:, None]
+    tau = np.where(sense, rows, -1).max(axis=0, initial=-1)
+    single_crossing_ok = bool((sense.sum(axis=0) == tau + 1).all())
     return tau, single_crossing_ok
 
 

@@ -58,11 +58,17 @@ class StructureReport:
         return d
 
 
+def _listed(mask: np.ndarray, values: np.ndarray, *label) -> list:
+    """(*label, i, j, values[i, j]) for every True cell of mask, row-major."""
+    i, j = np.nonzero(mask)
+    return [(*label, a, b, v)
+            for a, b, v in zip(i.tolist(), j.tolist(), values[i, j].tolist())]
+
+
 def _axis_drops(grid: np.ndarray, axis: int, tol: float, label: str) -> list:
     """Violations of nondecreasing-along-axis, as (label, i, j, magnitude)."""
     drop = -np.diff(grid, axis=axis)
-    bad = np.argwhere(drop > tol)
-    return [(label, int(i), int(j), float(drop[i, j])) for i, j in bad]
+    return _listed(drop > tol, drop, label)
 
 
 def check_monotone(V: np.ndarray, tol: float = DEFAULT_TOL) -> StructureReport:
@@ -72,11 +78,10 @@ def check_monotone(V: np.ndarray, tol: float = DEFAULT_TOL) -> StructureReport:
     return StructureReport("monotone", not violations, violations, tol)
 
 
-def _submodular_excesses(grid: np.ndarray, tol: float) -> list:
-    """Positive cross-differences on 2x2 blocks, as (a, b, excess)."""
+def _submodular_excesses(grid: np.ndarray, tol: float, *label) -> list:
+    """Positive cross-differences on 2x2 blocks, as (*label, a, b, excess)."""
     excess = grid[1:, 1:] + grid[:-1, :-1] - grid[1:, :-1] - grid[:-1, 1:]
-    bad = np.argwhere(excess > tol)
-    return [(int(a), int(b), float(excess[a, b])) for a, b in bad]
+    return _listed(excess > tol, excess, *label)
 
 
 def check_submodular(V: np.ndarray, tol: float = DEFAULT_TOL) -> StructureReport:
@@ -93,8 +98,7 @@ def check_delta_monotone(V: np.ndarray, params: ModelParams,
     d = delta_grid(V, params)[: params.a_max, : params.a_max]
     violations = _axis_drops(d, 0, tol, "alpha_s")
     rise = np.diff(d, axis=1)
-    bad = np.argwhere(rise > tol)
-    violations += [("alpha_b", int(i), int(j), float(rise[i, j])) for i, j in bad]
+    violations += _listed(rise > tol, rise, "alpha_b")
     return StructureReport(
         "delta_monotone", not violations, violations, tol,
         region=f"interior alpha_s, alpha_b <= {params.a_max - 1} "
@@ -109,13 +113,9 @@ def check_q_submodular(V: np.ndarray, params: ModelParams,
     interior. Passes whenever V is monotone and submodular. A solved V is
     not submodular, and its Q grids fail this check as well."""
     q_sense, q_comm = q_grids(V, params)
-    violations = [
-        ("sense", a, b, mag)
-        for a, b, mag in _submodular_excesses(q_sense[: params.a_max, : params.a_max], tol)
-    ] + [
-        ("comm", a, b, mag)
-        for a, b, mag in _submodular_excesses(q_comm[: params.a_max, : params.a_max], tol)
-    ]
+    interior = (slice(params.a_max), slice(params.a_max))
+    violations = (_submodular_excesses(q_sense[interior], tol, "sense")
+                  + _submodular_excesses(q_comm[interior], tol, "comm"))
     return StructureReport(
         "q_submodular", not violations, violations, tol,
         region=f"interior alpha_s, alpha_b <= {params.a_max - 1} "
@@ -139,11 +139,11 @@ def check_single_crossing(policy: np.ndarray) -> StructureReport:
     block followed by a comm block; violations list every comm-to-sense flip
     as (alpha_b, alpha_s)."""
     policy = np.asarray(policy)
-    violations = []
-    for j in range(policy.shape[1]):
-        col = policy[:, j]
-        flips = np.flatnonzero((col[1:] == Action.SENSE) & (col[:-1] == Action.COMM))
-        violations += [(j, int(i) + 1) for i in flips]
+    # flips[i, j]: comm at (alpha_s = i, alpha_b = j), sense at i + 1; the
+    # transpose lists them column by column, as (alpha_b, alpha_s)
+    flips = (policy[1:] == Action.SENSE) & (policy[:-1] == Action.COMM)
+    b, s = np.nonzero(flips.T)
+    violations = list(zip(b.tolist(), (s + 1).tolist()))
     return StructureReport("single_crossing", not violations, violations,
                            tolerance=0.0, region="policy rows, alpha_s ascending")
 

@@ -394,3 +394,18 @@ def test_solve_prints_the_number_of_policy_evaluations(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "policy_evaluations=" in out and "policy_evaluations=0 " not in out
     assert "policy_changes" not in read_bytes(tmp_path, "solve_report.json").decode()
+
+
+def test_verify_names_each_artifact_of_the_wrong_shape(tmp_path, capsys):
+    assert run(tmp_path, "solve", *small_flags(a_max=4)) == 0
+    out = tmp_path / "out"
+    gridio.write_grid_csv(out / "policy.csv", np.zeros((3, 3), dtype=int), integer=True)
+    assert run(tmp_path, "verify", *small_flags(a_max=4)) == 2
+    err = capsys.readouterr().err
+    assert "policy.csv (3, 3)" in err and "value.csv" not in err
+    assert "model.a_max=4 (5, 5)" in err
+
+    gridio.write_grid_csv(out / "value.csv", np.zeros((2, 2)))
+    assert run(tmp_path, "verify", *small_flags(a_max=4)) == 2
+    err = capsys.readouterr().err
+    assert "value.csv (2, 2), policy.csv (3, 3)" in err
