@@ -19,7 +19,8 @@ import sys
 from pathlib import Path
 
 from . import gridio, sim, solver, structure
-from .config import FIELDS, RunConfig, build_config, load_config_file
+from .config import FIELDS, RunConfig, SolverConfig, build_config, load_config_file
+from .model import ModelParams
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 2
@@ -63,9 +64,9 @@ def _outdir(cfg: RunConfig) -> Path:
     return d
 
 
-def _solve(cfg: RunConfig):
-    V, policy, report = solver.solve(cfg.model, tol=cfg.solver.tol,
-                                     max_iter=cfg.solver.max_iter)
+def _solve(params: ModelParams, solver_cfg: SolverConfig):
+    V, policy, report = solver.solve(params, tol=solver_cfg.tol,
+                                     max_iter=solver_cfg.max_iter)
     tau, sc_ok = solver.extract_thresholds(policy)
     return V, policy, tau, sc_ok, report
 
@@ -100,7 +101,7 @@ def _write_solve_artifacts(cfg: RunConfig, V, policy, tau, sc_ok, report) -> Non
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    V, policy, tau, sc_ok, report = _solve(cfg)
+    V, policy, tau, sc_ok, report = _solve(cfg.model, cfg.solver)
     _write_solve_artifacts(cfg, V, policy, tau, sc_ok, report)
     print(f"solve: iterations={report.iterations} "
           f"policy_evaluations={len(report.policy_changes)} "
@@ -136,7 +137,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             return EXIT_BAD_CONFIG
         source = "artifacts"
     else:
-        V, policy, _, _, report = _solve(cfg)
+        V, policy, _, _, report = _solve(cfg.model, cfg.solver)
         source = "in-process"
         if not report.converged:
             print("error: in-process solve did not converge; nothing to verify",
@@ -166,13 +167,16 @@ def _resolve_policy(cfg: RunConfig, source: str, policy_file: str | None):
     """Returns (policy, label, v_star or None). v_star is only available for
     the optimal policy, where the solve happens anyway."""
     if policy_file is not None:
-        policy, _ = gridio.read_policy_csv(policy_file)
+        try:
+            policy, _ = gridio.read_policy_csv(policy_file)
+        except OSError as exc:
+            raise ValueError(f"policy file {policy_file}: {exc.strerror}") from None
         if policy.shape != cfg.model.grid_shape:
             raise ValueError(f"policy file grid {policy.shape} does not match "
                              f"model.a_max={cfg.model.a_max}")
         return policy, f"file:{policy_file}", None
     if source == "optimal":
-        V, policy, _, _, report = _solve(cfg)
+        V, policy, _, _, report = _solve(cfg.model, cfg.solver)
         if not report.converged:
             raise RuntimeError("solve for the optimal policy did not converge")
         return policy, "optimal", V
@@ -228,15 +232,13 @@ def cmd_sweep(cfg: RunConfig, axis: str, values: list[float]) -> int:
             row["status"] = "rejected"
             rows.append(row)
             continue
-        V, policy, report = solver.solve(params, tol=cfg.solver.tol,
-                                         max_iter=cfg.solver.max_iter)
+        V, policy, tau, _, report = _solve(params, cfg.solver)
         if not report.converged:
             any_nonconverged = True
             row["status"] = "not_converged"
             rows.append(row)
             continue
         reports = structure.run_all_checks(V, policy, params, tol=cfg.solver.tol)
-        tau, _ = solver.extract_thresholds(policy)
         passed = all(r.passed for r in reports)
         any_failed |= not passed
         row["status"] = "ok" if passed else "check_failed"

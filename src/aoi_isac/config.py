@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .model import ModelParams
+from .solver import _check_budget
 
 VALID_FORMATS = ("csv", "json", "ascii")
 # bounds the simulation's work, n * horizon trajectory slots: 10^8 is 25x
@@ -35,10 +36,7 @@ class SolverConfig:
     max_iter: int = 100_000
 
     def __post_init__(self):
-        if not self.tol > 0:  # NaN too
-            raise ValueError(f"tol must be > 0, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        _check_budget(self.tol, self.max_iter)
 
 
 @dataclass
@@ -158,3 +156,5 @@ def load_config_file(path) -> dict:
         return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"config file {path}: invalid JSON ({exc})") from None
+    except OSError as exc:
+        raise ValueError(f"config file {path}: {exc.strerror}") from None

@@ -203,8 +203,7 @@ def _backup_tables(params: ModelParams):
 
 
 def q_grids(V: np.ndarray, params: ModelParams,
-            out: np.ndarray | tuple[np.ndarray, np.ndarray] | None = None
-            ) -> np.ndarray | tuple[np.ndarray, np.ndarray]:
+            out: np.ndarray | None = None) -> np.ndarray:
     """Both action-value grids over the full state grid, vectorised.
 
     Returns Q of shape (2, n, n), Q[0] = q_sense and Q[1] = q_comm, which
@@ -216,40 +215,24 @@ def q_grids(V: np.ndarray, params: ModelParams,
     read as a shifted view of V, so no grid-sized index or temporary array
     is built, and each step runs once for both actions.
 
-    ``out`` optionally receives the result: a float64 array of shape
-    (2, n, n) whose halves are C-contiguous and overlap neither each other
-    nor V (any leading stride, so the halves may be two grids of a larger
-    block in either order), which is returned; or a pair of such grids,
-    which is returned as a tuple and receives a copy.
+    ``out`` optionally receives the result, which is then returned: a
+    C-contiguous float64 array of shape (2, n, n) that does not overlap V.
     """
     V = np.asarray(V, dtype=float)
     if V.shape != params.grid_shape:
         raise ValueError(f"value grid shape {V.shape} != {params.grid_shape}")
     n = params.n_ages
-    pair = None
     if out is None:
-        Q = np.empty((2, n, n))
-    elif isinstance(out, np.ndarray):
-        Q = out
-        if (Q.shape != (2, n, n) or Q.dtype != np.float64
-                or Q.strides[1:] != (8 * n, 8)):
-            raise ValueError(f"a stacked out must be float64 of shape "
-                             f"{(2, n, n)} with C-contiguous halves, got "
-                             f"{Q.dtype} {Q.shape} strides {Q.strides}")
-        if (abs(Q.strides[0]) < 8 * n * n or np.may_share_memory(Q[0], V)
-                or np.may_share_memory(Q[1], V)):
-            raise ValueError("out grids must not overlap each other or V")
-    else:
-        pair = out
-        for q in pair:
-            if (q.shape != V.shape or q.dtype != np.float64
-                    or not q.flags.c_contiguous):
-                raise ValueError(f"out grids must be C-contiguous float64 of "
-                                 f"shape {V.shape}, got {q.dtype} {q.shape}")
-        if (np.may_share_memory(pair[0], pair[1])
-                or any(np.may_share_memory(q, V) for q in pair)):
-            raise ValueError("out grids must not overlap each other or V")
-        Q = np.empty((2, n, n))
+        out = np.empty((2, n, n))
+    elif not (isinstance(out, np.ndarray) and out.shape == (2, n, n)
+              and out.dtype == np.float64 and out.flags.c_contiguous):
+        got = (f"{out.dtype} {out.shape} strides {out.strides}"
+               if isinstance(out, np.ndarray) else type(out).__name__)
+        raise ValueError(f"out must be a C-contiguous float64 array of shape "
+                         f"{(2, n, n)}, got {got}")
+    elif np.may_share_memory(out, V):
+        raise ValueError("out must not overlap V")
+    Q = out
     succ, p, fail_weight, cost = _backup_tables(params)
     # cost + gamma * (p * V[succ] + (1 - p) * V[fail]), operand for operand.
     # Row-major, the fail successor (i + 1, j + 1) lies n + 1 cells after
@@ -265,10 +248,7 @@ def q_grids(V: np.ndarray, params: ModelParams,
     Q[1] += v_succ[1]  # a row for comm
     Q *= params.gamma
     Q += cost
-    if pair is None:
-        return Q
-    pair[0][...], pair[1][...] = Q
-    return pair[0], pair[1]
+    return Q
 
 
 def delta_grid(V: np.ndarray, params: ModelParams) -> np.ndarray:

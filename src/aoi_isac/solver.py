@@ -48,15 +48,15 @@ class SolveReport:
 
 
 def bellman_backup(V: np.ndarray, params: ModelParams,
-                   out: np.ndarray | tuple[np.ndarray, np.ndarray] | None = None,
+                   out: np.ndarray | None = None,
                    greedy: np.ndarray | None = None) -> np.ndarray:
     """One synchronous backup: pointwise min of the two action-value grids.
 
     The input grid is read only. ``out`` is passed to ``q_grids``; the
-    result lands in its first grid (q_sense), which is returned, and the
-    second is left holding q_comm. ``greedy``, a bool grid, optionally
-    receives V's greedy policy on the way: True (comm) where
-    Q_sense > Q_comm, so ties go to sense as in ``extract_policy``.
+    result lands in out[0] (q_sense), which is returned, and out[1] is left
+    holding q_comm. ``greedy``, a bool grid, optionally receives V's greedy
+    policy on the way: True (comm) where Q_sense > Q_comm, so ties go to
+    sense as in ``extract_policy``.
     """
     Q = q_grids(V, params, out=out)
     if greedy is not None:
@@ -326,19 +326,17 @@ def _improve(policy: np.ndarray, params: ModelParams, max_sweeps: int = 1000
     raise RuntimeError(f"policy iteration did not stabilise within {max_sweeps} sweeps")
 
 
-def policy_iteration(params: ModelParams,
-                     max_sweeps: int = 1000) -> tuple[np.ndarray, np.ndarray]:
+def policy_iteration(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Policy iteration from the greedy policy of V = 0: alternate exact
     evaluation (``evaluate_policy``) with greedy improvement (ties to sense)
     until the policy is stable; returns (V, policy). Raises RuntimeError
-    after max_sweeps evaluations."""
+    after 1000 evaluations (``_improve``'s bound)."""
     policy = extract_policy(np.zeros(params.grid_shape), params)
-    V, policy, _ = _improve(policy, params, max_sweeps)
+    V, policy, _ = _improve(policy, params)
     return V, policy
 
 
-def exhaustive_policy_oracle(params: ModelParams,
-                             chunk: int = 4096) -> tuple[np.ndarray, np.ndarray]:
+def exhaustive_policy_oracle(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Brute-force ground truth for tiny grids: evaluate every stationary
     deterministic policy exactly and return the pointwise-minimal value grid
     with its argmin policy.
@@ -357,7 +355,7 @@ def exhaustive_policy_oracle(params: ModelParams,
     best_sum = np.inf
     best_bits = None
     best_v = None
-    total = 1 << n_states
+    total, chunk = 1 << n_states, 4096  # a batch's systems take 8 MB
     for lo in range(0, total, chunk):
         idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
         bits = (idx[:, None] >> state_bit[None, :]) & 1          # (B, n_states)

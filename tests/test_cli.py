@@ -324,6 +324,21 @@ def test_simulate_policy_file_wrong_shape(tmp_path, capsys):
     assert "a_max" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag", [("solve", "--config"),
+                                           ("simulate", "--policy-file")],
+                         ids=["config", "policy-file"])
+@pytest.mark.parametrize("kind, reason", [("missing", "No such file"),
+                                          ("directory", "Is a directory")],
+                         ids=["missing", "directory"])
+def test_unreadable_input_file_exits_2_naming_it(tmp_path, capsys, command,
+                                                 flag, kind, reason):
+    path = tmp_path / "input"
+    if kind == "directory":
+        path.mkdir()
+    assert run(tmp_path, command, flag, str(path), *small_flags()) == 2
+    assert f"{path}: {reason}" in capsys.readouterr().err
+
+
 def test_sweep_rows_and_exit(tmp_path):
     rc = run(tmp_path, "sweep", "--axis", "c_c", "--values", "0.05,0.1,0.2",
              *small_flags(a_max=8))

@@ -191,26 +191,30 @@ def test_q_grids_equal_the_gather_reference(a_max, overrides):
         before = V.copy()
         ref = q_grids_gather(V, p)
         assert all(np.array_equal(q, r) for q, r in zip(q_grids(V, p), ref))
-        # NaN-filled buffers: every cell must be written
-        out = (np.full(p.grid_shape, np.nan), np.full(p.grid_shape, np.nan))
-        got = q_grids(V, p, out=out)
-        assert got[0] is out[0] and got[1] is out[1]
-        assert all(np.array_equal(q, r) for q, r in zip(got, ref))
+        # a NaN-filled out: every cell must be written
+        out = np.full((2,) + p.grid_shape, np.nan)
+        assert q_grids(V, p, out=out) is out
+        assert all(np.array_equal(q, r) for q, r in zip(out, ref))
         assert np.array_equal(V, before)
 
 
 def test_q_grids_rejects_unusable_out():
+    # out is one C-contiguous (2, n, n) float64 array, so a pair of grids
+    # or a reversed view of a block is rejected too
     p = make(a_max=4)
+    n = p.n_ages
     V = np.zeros(p.grid_shape)
-    good = np.empty(p.grid_shape)
-    bad = {"shape": np.empty((4, 5)),
-           "dtype": np.empty(p.grid_shape, dtype=np.float32),
-           "contiguous": np.empty((5, 10))[:, ::2]}
-    for grid in bad.values():
-        with pytest.raises(ValueError, match="C-contiguous float64"):
-            q_grids(V, p, out=(good, grid))
-    with pytest.raises(ValueError, match="overlap"):
-        q_grids(V, p, out=(good, good))
+    block = np.empty((3, n, n))
+    bad = {"pair": (block[1], block[2]),
+           "reversed view": block[2::-2],
+           "shape": np.empty((3, n, n)),
+           "dtype": np.empty((2, n, n), dtype=np.float32),
+           "strided halves": np.empty((2, n, 2 * n))[:, :, ::2],
+           "transposed halves": np.empty((2, n, n)).transpose(0, 2, 1)}
+    for out in bad.values():
+        for fn in (q_grids, bellman_backup):
+            with pytest.raises(ValueError, match="C-contiguous float64"):
+                fn(V, p, out=out)
 
 
 @pytest.mark.parametrize("a_max", [2, 7, 30])
@@ -218,11 +222,11 @@ def test_q_grids_rejects_unusable_out():
                                        dict(lambda_s=1.0, lambda_c=0.0, gamma=0.0)])
 def test_stacked_out_in_every_rotation_view_equals_the_gather_reference(
         a_max, overrides):
-    # value iteration's three grids: V in one slot, the stacked pair in the
-    # other two, in the order block[1:3], block[2::-2], block[0:2]
+    # solve's three grids: V in one slot of a block, out in the two
+    # contiguous slots beside it (block[1:3] after V, block[0:2] before it)
     p = make(a_max=a_max, **overrides)
     rng = np.random.default_rng(a_max)
-    for v_slot, view in ((0, np.s_[1:3]), (1, np.s_[2::-2]), (2, np.s_[0:2])):
+    for v_slot, view in ((0, np.s_[1:3]), (2, np.s_[0:2])):
         block = np.full((3,) + p.grid_shape, np.nan)
         block[v_slot] = rng.random(p.grid_shape) * 40.0
         V = block[v_slot]
@@ -238,17 +242,29 @@ def test_stacked_out_in_every_rotation_view_equals_the_gather_reference(
         assert np.array_equal(W, np.minimum(*ref))
         assert np.array_equal(out[1], ref[1])
         assert np.array_equal(V, before)
+        # the reversed view of the other two slots is not C-contiguous
+        for fn in (q_grids, bellman_backup):
+            with pytest.raises(ValueError, match="C-contiguous float64"):
+                fn(V, p, out=block[view][::-1])
+        assert np.array_equal(V, before)
 
 
 def test_stacked_out_rejects_overlap_and_bad_layout():
     p = make(a_max=4)
     n = p.n_ages
     block = np.zeros((3, n, n))
-    for v_slot, view in ((0, np.s_[0:2]), (1, np.s_[1:3]), (2, np.s_[2::-2])):
-        # one half of the pair is V itself
-        with pytest.raises(ValueError, match="overlap"):
-            q_grids(block[v_slot], p, out=block[view])
+    for v_slot, view in ((0, np.s_[0:2]), (1, np.s_[0:2]), (1, np.s_[1:3]),
+                         (2, np.s_[1:3])):
+        # one half of out is V itself
+        for fn in (q_grids, bellman_backup):
+            with pytest.raises(ValueError, match="overlap"):
+                fn(block[v_slot], p, out=block[view])
+    # V straddles the end of out
     buf = np.zeros(3 * n * n)
+    with pytest.raises(ValueError, match="overlap"):
+        q_grids(buf[2 * n * n - 3:3 * n * n - 3].reshape(n, n), p,
+                out=buf[:2 * n * n].reshape(2, n, n))
+    # halves that overlap each other cannot be C-contiguous
     grid_strides = (8 * n, 8)
     halves_overlap = {
         "zero stride": np.lib.stride_tricks.as_strided(
@@ -260,19 +276,8 @@ def test_stacked_out_rejects_overlap_and_bad_layout():
     }
     V = np.zeros(p.grid_shape)
     for out in halves_overlap.values():
-        with pytest.raises(ValueError, match="overlap"):
+        with pytest.raises(ValueError, match="C-contiguous float64"):
             q_grids(V, p, out=out)
-    bad_layout = {
-        "shape": np.empty((3, n, n)),
-        "dtype": np.empty((2, n, n), dtype=np.float32),
-        "strided halves": np.empty((2, n, 2 * n))[:, :, ::2],
-        "transposed halves": np.empty((2, n, n)).transpose(0, 2, 1),
-    }
-    for out in bad_layout.values():
-        with pytest.raises(ValueError, match="C-contiguous halves"):
-            q_grids(V, p, out=out)
-    with pytest.raises(ValueError, match="overlap"):
-        bellman_backup(block[0], p, out=block[0:2])
 
 
 def test_backup_tables_are_read_only_and_per_params():

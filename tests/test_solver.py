@@ -345,18 +345,20 @@ def test_backup_into_out_leaves_input_and_rejects_overlap():
     p = make(a_max=6)
     V = np.random.default_rng(4).random(p.grid_shape) * 30.0
     before = V.copy()
-    out = (np.full(p.grid_shape, np.nan), np.full(p.grid_shape, np.nan))
+    out = np.full((2,) + p.grid_shape, np.nan)
     W = bellman_backup(V, p, out=out)
-    assert W is out[0] and np.array_equal(W, bellman_backup(V, p))
+    assert np.shares_memory(W, out[0]) and np.array_equal(W, bellman_backup(V, p))
     assert np.array_equal(V, before)
-    for overlapping in ((V, out[1]), (out[0], V[...]), (out[0], out[0])):
-        with pytest.raises(ValueError, match="overlap"):
-            bellman_backup(V, p, out=overlapping)
-    assert np.array_equal(V, before)
-    # disjoint parts of one buffer are fine
     buf = np.empty((3,) + p.grid_shape)
     buf[0] = V
-    assert np.array_equal(bellman_backup(buf[0], p, out=(buf[1], buf[2])), W)
+    for v, overlapping in ((buf[0], buf[0:2]), (out[1], out)):
+        with pytest.raises(ValueError, match="overlap"):
+            bellman_backup(v, p, out=overlapping)
+    with pytest.raises(ValueError, match="C-contiguous float64"):
+        bellman_backup(V, p, out=(out[0], out[1]))  # a pair of grids
+    assert np.array_equal(V, before) and np.array_equal(buf[0], before)
+    # disjoint parts of one buffer are fine
+    assert np.array_equal(bellman_backup(buf[0], p, out=buf[1:]), W)
 
 
 @pytest.mark.parametrize("a_max", [5, 5.0, np.int64(5)])
