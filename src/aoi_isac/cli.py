@@ -125,8 +125,11 @@ def cmd_verify(cfg: RunConfig) -> int:
               f"run solve or remove the leftover file", file=sys.stderr)
         return EXIT_BAD_CONFIG
     if have_v:
-        V, _ = gridio.read_grid_csv(value_path)
-        policy, _ = gridio.read_policy_csv(policy_path)
+        try:
+            V, _ = gridio.read_grid_csv(value_path)
+            policy, _ = gridio.read_policy_csv(policy_path)
+        except OSError as exc:
+            raise ValueError(f"artifact {exc.filename}: {exc.strerror}") from None
         mismatched = [f"{path.name} {grid.shape}"
                       for path, grid in ((value_path, V), (policy_path, policy))
                       if grid.shape != cfg.model.grid_shape]

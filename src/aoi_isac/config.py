@@ -156,5 +156,8 @@ def load_config_file(path) -> dict:
         return json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ValueError(f"config file {path}: invalid JSON ({exc})") from None
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"config file {path}: not valid {exc.encoding} "
+                         f"({exc.reason} at byte {exc.start})") from None
     except OSError as exc:
         raise ValueError(f"config file {path}: {exc.strerror}") from None

@@ -76,7 +76,12 @@ def _read_grid(path: Path, integer: bool):
     linenos = []
     expected_cols = None
     row_index = 0
-    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+    try:
+        lines = path.read_text().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not valid {exc.encoding} ({exc.reason} at "
+                         f"byte {exc.start})") from None
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line:
             continue

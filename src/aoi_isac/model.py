@@ -31,12 +31,12 @@ State = tuple[int, int]
 # 4,004,001 states. Peak RSS above the interpreter (ru_maxrss) at this size:
 # value iteration, 5 sweeps, 96.2 MB: V and the stacked pair during the
 # sweeps, then V and extract_policy's two grids in the same room.
-# solver.evaluate_policy 323 MB on the optimal policy (gamma=0.95) and up to
-# about 410 MB on a policy that reaches all 3,999 anchors, most of it its
-# (2 a_max - 1)-square anchor system and LAPACK's copy of it.
-# solver.solve 327 MB (gamma=0.95: 15 sweeps, one evaluation; gamma=0.999:
-# 324 MB against the evaluation's 320 MB): the evaluation's peak plus the
-# int8 policy, because the sweep grids are freed before it
+# solver.evaluate_policy 267 MB on the optimal policy (gamma=0.95, 3,226
+# anchors) and 321 MB on a random policy that reaches all 3,999 anchors,
+# most of it its anchor system and LAPACK's copy of it.
+# solver.solve 271 MB (gamma=0.95: 15 sweeps, one evaluation; gamma=0.999:
+# 269 MB, 16 sweeps, one evaluation): the evaluation's peak plus the int8
+# policy, because the sweep grids are freed before it
 MAX_A_MAX = 2000
 
 

@@ -20,7 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Action, ModelParams, delta_grid, dynamics, q_grids
+from .model import (Action, ModelParams, _backup_tables, delta_grid, dynamics,
+                    q_grids)
 
 
 @dataclass
@@ -201,27 +202,23 @@ def extract_thresholds(policy: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 def _policy_tables(policies: np.ndarray, params: ModelParams):
-    """(p, g, succ, fail) of flattened policies (states last): each state's
-    success probability, stage cost and success successor, shaped like
-    policies, and the action-independent fail successor, as flat indices.
+    """(comm, p, g) of flattened policies (states last): whether each state
+    communicates, its success probability and its stage cost, shaped like
+    policies.
 
     p and g are float even for integer inputs, so callers may scale them in
-    place. The tables are built from age vectors and broadcast, so only the
-    outputs are grid-sized.
+    place. The costs come from ``dynamics`` over the age vector and are
+    broadcast, so only the outputs are grid-sized.
     """
     n = params.n_ages
-    ages = np.arange(n)
-    succ, fail, cost = dynamics(ages[:, None], ages[None, :], params)
-    succ_sense, succ_comm = (s * n + b for s, b in succ)
+    _, _, cost = dynamics(np.arange(n)[:, None], 0, params)  # alpha_s alone
 
     shape = np.shape(policies)
     comm = (np.asarray(policies) == Action.COMM).reshape(-1, n, n)
     p = np.where(comm, float(params.lambda_c), float(params.lambda_s))
-    succ_idx = np.where(comm, succ_comm, succ_sense)
     g = np.where(comm, cost[Action.COMM], cost[Action.SENSE])
     g = g.astype(float, copy=False)
-    return (p.reshape(shape), g.reshape(shape), succ_idx.reshape(shape),
-            (fail[0] * n + fail[1]).ravel())
+    return comm.reshape(shape), p.reshape(shape), g.reshape(shape)
 
 
 def _linear_systems(policies: np.ndarray, params: ModelParams):
@@ -232,7 +229,14 @@ def _linear_systems(policies: np.ndarray, params: ModelParams):
     the solution of A[k] v = g[k]: the dense reference of the exhaustive
     oracle and the tests.
     """
-    p, g, succ_idx, fail_idx = _policy_tables(policies, params)
+    comm, p, g = _policy_tables(policies, params)
+    n = params.n_ages
+    ages = np.arange(n)
+    succ, fail, _ = dynamics(ages[:, None], ages[None, :], params)
+    succ_sense, succ_comm = (s * n + b for s, b in succ)
+    succ_idx = np.where(comm.reshape(-1, n, n), succ_comm,
+                        succ_sense).reshape(p.shape)
+    fail_idx = (fail[0] * n + fail[1]).ravel()
     batch, n_states = p.shape
     states = np.arange(n_states)
     b_idx = np.arange(batch)[:, None]
@@ -254,55 +258,110 @@ def _linear_systems(policies: np.ndarray, params: ModelParams):
 # several times slower (1,999 anchors: 0.64 s against 0.20 s).
 _NEGLIGIBLE_WEIGHT = 1e-200
 
+# (steps, anchors) cells that one block of the fail-chain walk handles; bounds
+# its working memory (about 100 bytes a cell) whatever a_max is
+_CELLS_PER_BLOCK = 1 << 13
+
+
+def _fail_successor(X: np.ndarray, d: int, out: np.ndarray) -> np.ndarray:
+    """out[i, j] = X[min(i + d, a_max), min(j + d, a_max)]: X read at the
+    d-step fail successor (0 < d <= a_max), by four slice copies; the last
+    row and column saturate. Returns out."""
+    k = X.shape[0] - d
+    out[:k, :k] = X[d:, d:]
+    out[:k, k:] = X[d:, -1:]
+    out[k:, :k] = X[-1, d:]
+    out[k:, k:] = X[-1, -1]
+    return out
+
 
 def evaluate_policy(policy: np.ndarray, params: ModelParams) -> np.ndarray:
     """Value grid of a fixed stationary policy, exact at every grid size.
 
     Success successors, the anchors, lie on the column (k, 1) and the
-    diagonal (k, k): at most 2 a_max - 1 states. Fail chains step both ages
-    and end within a_max steps at the corner (a_max, a_max), whose fail
-    self-loop is folded in closed form. Walking the anchors' fail chains in
-    lockstep gives (I - W) y = u for the anchor values y; the grid is then
-    V = g + gamma p y[anchor] + gamma (1 - p) V[fail], summed along the
-    fail chains by pointer doubling.
+    diagonal (k, k): at most 2 a_max - 1 states, found from the per-age
+    success successors of ``_backup_tables`` and the rows that sense and
+    columns that communicate. Fail chains step both ages and end within
+    a_max steps at the corner (a_max, a_max), whose fail self-loop is folded
+    in closed form. Walking the anchors' fail chains gives (I - W) y = u for
+    the anchor values y; the walk runs in blocks of steps, each one
+    (steps, anchors) array, and stops once every chain's weight is zero.
+    The grid is then V = g + gamma p y[anchor] + gamma (1 - p) V[fail],
+    summed along the fail chains by pointer doubling: round r reads the
+    2^r-step fail successor as four slice copies. Every sum adds its terms
+    in the order of a walk one step at a time, so the result is that walk's
+    bit for bit.
     """
     policy = np.asarray(policy)
     if policy.shape != params.grid_shape:
         raise ValueError(f"policy shape {policy.shape} != {params.grid_shape}")
-    p, g, succ_idx, fail = _policy_tables(policy.ravel(), params)
+    n, top = params.n_ages, params.a_max
+    comm, p, g = _policy_tables(policy, params)
     q = params.gamma * (1.0 - p)
     gp = np.multiply(params.gamma, p, out=p)  # p is not needed again
-    corner = fail.size - 1
-    scale = 1.0 / (1.0 - q[corner])
-    g[corner] *= scale
-    gp[corner] *= scale
-    q[corner] = 0.0
+    scale = 1.0 / (1.0 - q[top, top])
+    g[top, top] *= scale
+    gp[top, top] *= scale
+    q[top, top] = 0.0
 
-    anchors = np.flatnonzero(np.bincount(succ_idx, minlength=fail.size))
-    slot = np.searchsorted(anchors, succ_idx)  # each state's anchor
-    del succ_idx  # grid-sized arrays are 32 MB each at a_max = 2000
-    rows = np.arange(anchors.size)
-    u = np.zeros(anchors.size)
-    W = np.zeros((anchors.size, anchors.size))
-    at, weight = anchors, np.ones(anchors.size)
-    for _ in range(params.a_max + 1):  # the corner ends every chain by then
-        u += weight * g[at]
-        W[rows, slot[at]] += weight * gp[at]
-        weight = weight * q[at]
-        weight[weight < _NEGLIGIBLE_WEIGHT] = 0.0
-        at = fail[at]
+    # each age's success successor (flat) and its anchor's slot: sense
+    # along alpha_s, comm along alpha_b
+    succ = _backup_tables(params)[0]
+    anchors = np.union1d(succ[0][~comm.all(axis=1)], succ[1][comm.any(axis=0)])
+    slot = np.searchsorted(anchors, succ)
+    # an age where no state plays the action has no anchor; any valid slot
+    # does, as nothing reads it
+    np.minimum(slot, anchors.size - 1, out=slot)
+    m = anchors.size
+    u = np.zeros(m)
+    W = np.zeros((m, m))
+    row_start = np.arange(m) * m  # flat index of each anchor's row of W
+    first_s, first_b = np.divmod(anchors, n)
+    # the chains whose weight is not yet zero (the rest would add zeros)
+    live, weight = np.arange(m), np.ones(m)
+    steps_per_block = max(1, _CELLS_PER_BLOCK // m)
+    # the corner ends every chain by step a_max
+    for lo in range(0, top + 1, steps_per_block):
+        steps = np.arange(lo, min(lo + steps_per_block, top + 1))[:, None]
+        age_s = np.minimum(first_s[live] + steps, top)
+        age_b = np.minimum(first_b[live] + steps, top)
+        at = age_s * n + age_b
+        # weights[t] is the weight at step lo + t, the last row the carry
+        weights = np.empty((len(steps) + 1, live.size))
+        weights[0] = weight
+        q.take(at, out=weights[1:])
+        np.multiply.accumulate(weights, axis=0, out=weights)
+        weights[weights < _NEGLIGIBLE_WEIGHT] = 0.0
+        weight, weights = weights[-1], weights[:-1]
+        terms = g.take(at)
+        terms *= weights
+        terms[0] += u[live]
+        # a scan adds row after row; a reduction over a single live chain
+        # would sum pairwise, in another order
+        u[live] = np.add.accumulate(terms, axis=0, out=terms)[-1]
+        terms = gp.take(at)
+        terms *= weights
+        cols = np.where(comm.take(at), slot[1][age_b], slot[0][age_s])
+        cols += row_start[live]
+        np.add.at(W.reshape(-1), cols.reshape(-1), terms.reshape(-1))
+        live, weight = live[weight > 0.0], weight[weight > 0.0]
+        if not live.size:
+            break
+    del age_s, age_b, at, weights, terms, cols  # the last block's, before LU
     W *= -1.0  # I - W in place: the solve's own copy is the only other matrix
-    W[rows, rows] += 1.0
+    W.reshape(-1)[::m + 1] += 1.0
     y = np.linalg.solve(W, u)
+    del W
 
-    V = gp * y[slot]
+    V = np.where(comm, y[slot[1]], y[slot[0]][:, None])
+    V *= gp
     V += g
-    del W, slot
-    for _ in range(params.a_max.bit_length()):  # 2^rounds > a_max chain steps
-        V += q * V[fail]
-        q *= q[fail]
-        fail = fail[fail]
-    return V.reshape(params.grid_shape)
+    del comm, gp, g
+    shifted = np.empty_like(V)
+    for r in range(top.bit_length()):  # 2^rounds > a_max chain steps
+        V += np.multiply(_fail_successor(V, 1 << r, shifted), q, out=shifted)
+        q *= _fail_successor(q, 1 << r, shifted)
+    return V
 
 
 def _improve(policy: np.ndarray, params: ModelParams, max_sweeps: int = 1000

@@ -339,6 +339,34 @@ def test_unreadable_input_file_exits_2_naming_it(tmp_path, capsys, command,
     assert f"{path}: {reason}" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, flag", [("solve", "--config"),
+                                           ("simulate", "--policy-file")],
+                         ids=["config", "policy-file"])
+def test_input_file_that_is_not_utf8_exits_2_naming_it(tmp_path, capsys,
+                                                        command, flag):
+    path = tmp_path / "input"
+    path.write_bytes(b"\xff\xfe{")
+    assert run(tmp_path, command, flag, str(path), *small_flags()) == 2
+    assert f"{path}: not valid utf-8" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["value.csv", "policy.csv"])
+@pytest.mark.parametrize("kind, reason", [("directory", "Is a directory"),
+                                          ("not utf-8", "not valid utf-8")],
+                         ids=["directory", "not-utf-8"])
+def test_verify_unreadable_artifact_exits_2_naming_it(tmp_path, capsys, name,
+                                                      kind, reason):
+    assert run(tmp_path, "solve", *small_flags()) == 0
+    path = tmp_path / "out" / name
+    path.unlink()
+    if kind == "directory":
+        path.mkdir()
+    else:
+        path.write_bytes(b"\xff\xfe")
+    assert run(tmp_path, "verify", *small_flags()) == 2
+    assert f"{path}: {reason}" in capsys.readouterr().err
+
+
 def test_sweep_rows_and_exit(tmp_path):
     rc = run(tmp_path, "sweep", "--axis", "c_c", "--values", "0.05,0.1,0.2",
              *small_flags(a_max=8))

@@ -6,11 +6,13 @@ import sys
 import numpy as np
 import pytest
 
+from aoi_isac import solver
 from aoi_isac.model import Action, ModelParams, delta_grid, dynamics, q_value
-from aoi_isac.solver import (_improve, _linear_systems, bellman_backup,
-                             evaluate_policy, exhaustive_policy_oracle,
-                             extract_policy, extract_thresholds,
-                             policy_iteration, solve, value_iteration)
+from aoi_isac.solver import (_NEGLIGIBLE_WEIGHT, _fail_successor, _improve,
+                             _linear_systems, bellman_backup, evaluate_policy,
+                             exhaustive_policy_oracle, extract_policy,
+                             extract_thresholds, policy_iteration, solve,
+                             value_iteration)
 
 IV = dict(lambda_s=0.6, lambda_c=0.9, c_s=0.2, c_c=0.1, gamma=0.95)
 
@@ -218,6 +220,51 @@ def test_evaluate_policy_matches_dense_solve():
     assert np.all(V >= 0.0) and np.all(V <= p.value_upper_bound)
 
 
+def evaluate_policy_step_by_step(policy, p):
+    """Reference: the anchor evaluation walking every fail chain one step at
+    a time, with grid-sized successor gathers of ``dynamics``."""
+    n = p.n_ages
+    ages = np.arange(n)
+    succ, fail, cost = dynamics(ages[:, None], ages[None, :], p)
+    comm = np.asarray(policy).ravel() == Action.COMM
+    succ_sense, succ_comm = (np.broadcast_to(s * n + b, (n, n)).ravel()
+                             for s, b in succ)
+    succ_idx = np.where(comm, succ_comm, succ_sense)
+    fail = (fail[0] * n + fail[1]).ravel()
+    pr = np.where(comm, float(p.lambda_c), float(p.lambda_s))
+    g = np.where(comm.reshape(n, n), cost[Action.COMM],
+                 cost[Action.SENSE]).astype(float).ravel()
+    q = p.gamma * (1.0 - pr)
+    gp = p.gamma * pr
+    corner = n * n - 1
+    scale = 1.0 / (1.0 - q[corner])
+    g[corner] *= scale
+    gp[corner] *= scale
+    q[corner] = 0.0
+    anchors = np.flatnonzero(np.bincount(succ_idx, minlength=n * n))
+    slot = np.searchsorted(anchors, succ_idx)
+    rows = np.arange(anchors.size)
+    u = np.zeros(anchors.size)
+    W = np.zeros((anchors.size, anchors.size))
+    at, weight = anchors, np.ones(anchors.size)
+    for _ in range(p.a_max + 1):
+        u += weight * g[at]
+        W[rows, slot[at]] += weight * gp[at]
+        weight = weight * q[at]
+        weight[weight < _NEGLIGIBLE_WEIGHT] = 0.0
+        at = fail[at]
+    W *= -1.0
+    W[rows, rows] += 1.0
+    y = np.linalg.solve(W, u)
+    V = gp * y[slot]
+    V += g
+    for _ in range(p.a_max.bit_length()):
+        V += q * V[fail]
+        q *= q[fail]
+        fail = fail[fail]
+    return V.reshape(p.grid_shape)
+
+
 @pytest.mark.parametrize("lambdas", [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0),
                                      (1.0, 0.0), (0.3, 0.7)])
 @pytest.mark.parametrize("gamma", [0.0, 0.5, 0.999])
@@ -231,7 +278,52 @@ def test_evaluate_policy_is_exact_across_the_parameter_grid(lambdas, gamma, a_ma
     for policy in (rng.integers(0, 2, p.grid_shape),
                    np.full(p.grid_shape, Action.SENSE),
                    np.full(p.grid_shape, Action.COMM)):
-        assert max_rel_gap(evaluate_policy(policy, p), dense_value(policy, p)) <= 1e-12
+        V = evaluate_policy(policy, p)
+        assert max_rel_gap(V, dense_value(policy, p)) <= 1e-12
+        assert np.array_equal(V, evaluate_policy_step_by_step(policy, p))
+
+
+def test_evaluate_policy_equals_the_step_walk_on_a_large_grid():
+    # all comm, whose anchors are the a_max diagonal states: weights
+    # (q = 0.95 * 0.1) fall below the cutoff at step 197 of chains up to 300
+    # steps long, inside a block of steps
+    p = make(a_max=300)
+    q = p.gamma * (1.0 - p.lambda_c)
+    crossing = int(np.ceil(np.log(_NEGLIGIBLE_WEIGHT) / np.log(q)))
+    assert 0 < crossing % (solver._CELLS_PER_BLOCK // p.a_max) and crossing < p.a_max
+    for policy in (np.full(p.grid_shape, Action.COMM), solve(p)[1]):
+        assert np.array_equal(evaluate_policy(policy, p),
+                              evaluate_policy_step_by_step(policy, p))
+
+
+@pytest.mark.parametrize("cells", [1, 2000, 1 << 15])
+def test_evaluate_policy_is_the_step_walk_at_every_block_size(monkeypatch, cells):
+    # sensing on one diagonal and one row, comm (q = 0) elsewhere: a single
+    # chain lives on for many blocks, where a reduction would sum pairwise
+    monkeypatch.setattr(solver, "_CELLS_PER_BLOCK", cells)
+    p = make(a_max=60, lambda_c=1.0, gamma=0.9)
+    i, j = np.indices(p.grid_shape)
+    lone_chain = np.where((i - j == 3) | (i == 3), Action.SENSE, Action.COMM)
+    rng = np.random.default_rng(60)
+    for policy in (lone_chain, rng.integers(0, 2, p.grid_shape)):
+        assert np.array_equal(evaluate_policy(policy, p),
+                              evaluate_policy_step_by_step(policy, p))
+
+
+@pytest.mark.parametrize("a_max", [2, 3, 7, 30])
+def test_fail_successor_slices_equal_the_gather_of_dynamics(a_max):
+    p = make(a_max=a_max)
+    ages = np.arange(p.n_ages)
+    _, step, _ = dynamics(ages[:, None], ages[None, :], p)
+    step = np.broadcast_arrays(*step)
+    rng = np.random.default_rng(a_max)
+    X = rng.random(p.grid_shape)
+    at = np.broadcast_arrays(ages[:, None], ages[None, :])
+    for d in range(1, a_max + 1):
+        at = (step[0][at], step[1][at])  # d steps of the one-step fail successor
+        out = np.full(p.grid_shape, np.nan)
+        assert _fail_successor(X, d, out) is out
+        assert np.array_equal(out, X[at])
 
 
 def test_policy_iteration_zero_discount():
