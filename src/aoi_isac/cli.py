@@ -60,18 +60,37 @@ def _config_comment(cfg: RunConfig, status: str) -> list[str]:
 
 def _outdir(cfg: RunConfig) -> Path:
     d = Path(cfg.output.directory)
-    d.mkdir(parents=True, exist_ok=True)
+    try:
+        d.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ValueError(f"output.directory {d}: {exc.strerror}") from None
     return d
 
 
 def _solve(params: ModelParams, solver_cfg: SolverConfig):
-    V, policy, report = solver.solve(params, tol=solver_cfg.tol,
-                                     max_iter=solver_cfg.max_iter)
+    return solver.solve(params, tol=solver_cfg.tol, max_iter=solver_cfg.max_iter)
+
+
+def _model_mismatch(path: Path, comments: list[str],
+                    params: ModelParams) -> list[str]:
+    """The model fields, as 'model.<name>=<solved> (not <wanted>)', in which
+    the 'config =' comment of the solve artifact at path differs from
+    params; none when the artifact has no such comment."""
+    for comment in comments:
+        if comment.startswith("config = "):
+            try:
+                solved = dict(json.loads(comment[len("config = "):])["model"])
+            except (ValueError, TypeError, KeyError):
+                raise ValueError(f"{path}: 'config =' comment has no model "
+                                 f"object") from None
+            return [f"model.{k}={solved.get(k)!r} (not {v!r})"
+                    for k, v in dataclasses.asdict(params).items()
+                    if solved.get(k) != v]
+    return []
+
+
+def _write_solve_artifacts(cfg: RunConfig, V, policy, report) -> None:
     tau, sc_ok = solver.extract_thresholds(policy)
-    return V, policy, tau, sc_ok, report
-
-
-def _write_solve_artifacts(cfg: RunConfig, V, policy, tau, sc_ok, report) -> None:
     out = _outdir(cfg)
     status = "converged" if report.converged else "partial"
     comments = _config_comment(cfg, status)
@@ -101,8 +120,8 @@ def _write_solve_artifacts(cfg: RunConfig, V, policy, tau, sc_ok, report) -> Non
 
 
 def cmd_solve(cfg: RunConfig) -> int:
-    V, policy, tau, sc_ok, report = _solve(cfg.model, cfg.solver)
-    _write_solve_artifacts(cfg, V, policy, tau, sc_ok, report)
+    V, policy, report = _solve(cfg.model, cfg.solver)
+    _write_solve_artifacts(cfg, V, policy, report)
     print(f"solve: iterations={report.iterations} "
           f"policy_evaluations={len(report.policy_changes)} "
           f"final_sweep_delta={report.final_sweep_delta:.3e} "
@@ -125,11 +144,15 @@ def cmd_verify(cfg: RunConfig) -> int:
               f"run solve or remove the leftover file", file=sys.stderr)
         return EXIT_BAD_CONFIG
     if have_v:
-        try:
-            V, _ = gridio.read_grid_csv(value_path)
-            policy, _ = gridio.read_policy_csv(policy_path)
-        except OSError as exc:
-            raise ValueError(f"artifact {exc.filename}: {exc.strerror}") from None
+        V, v_comments = gridio.read_grid_csv(value_path)
+        policy, p_comments = gridio.read_policy_csv(policy_path)
+        foreign = [f"{path} was solved for another model: {', '.join(fields)}"
+                   for path, comments in ((value_path, v_comments),
+                                          (policy_path, p_comments))
+                   if (fields := _model_mismatch(path, comments, cfg.model))]
+        if foreign:
+            print("error: " + "; ".join(foreign), file=sys.stderr)
+            return EXIT_BAD_CONFIG
         mismatched = [f"{path.name} {grid.shape}"
                       for path, grid in ((value_path, V), (policy_path, policy))
                       if grid.shape != cfg.model.grid_shape]
@@ -140,7 +163,7 @@ def cmd_verify(cfg: RunConfig) -> int:
             return EXIT_BAD_CONFIG
         source = "artifacts"
     else:
-        V, policy, _, _, report = _solve(cfg.model, cfg.solver)
+        V, policy, report = _solve(cfg.model, cfg.solver)
         source = "in-process"
         if not report.converged:
             print("error: in-process solve did not converge; nothing to verify",
@@ -170,16 +193,13 @@ def _resolve_policy(cfg: RunConfig, source: str, policy_file: str | None):
     """Returns (policy, label, v_star or None). v_star is only available for
     the optimal policy, where the solve happens anyway."""
     if policy_file is not None:
-        try:
-            policy, _ = gridio.read_policy_csv(policy_file)
-        except OSError as exc:
-            raise ValueError(f"policy file {policy_file}: {exc.strerror}") from None
+        policy, _ = gridio.read_policy_csv(policy_file)
         if policy.shape != cfg.model.grid_shape:
             raise ValueError(f"policy file grid {policy.shape} does not match "
                              f"model.a_max={cfg.model.a_max}")
         return policy, f"file:{policy_file}", None
     if source == "optimal":
-        V, policy, _, _, report = _solve(cfg.model, cfg.solver)
+        V, policy, report = _solve(cfg.model, cfg.solver)
         if not report.converged:
             raise RuntimeError("solve for the optimal policy did not converge")
         return policy, "optimal", V
@@ -225,17 +245,18 @@ def cmd_sweep(cfg: RunConfig, axis: str, values: list[float]) -> int:
         return EXIT_BAD_CONFIG
 
     rows = []
-    any_failed = any_nonconverged = False
+    any_rejected = any_failed = any_nonconverged = False
     for value in values:
         row = {"value": value}
         try:
             params = dataclasses.replace(cfg.model, **{axis: value})
         except ValueError as exc:
             print(f"sweep: {axis}={value} rejected: {exc}", file=sys.stderr)
+            any_rejected = True
             row["status"] = "rejected"
             rows.append(row)
             continue
-        V, policy, tau, _, report = _solve(params, cfg.solver)
+        V, policy, report = _solve(params, cfg.solver)
         if not report.converged:
             any_nonconverged = True
             row["status"] = "not_converged"
@@ -247,7 +268,7 @@ def cmd_sweep(cfg: RunConfig, axis: str, values: list[float]) -> int:
         row["status"] = "ok" if passed else "check_failed"
         row["checks"] = {r.check_name: r.passed for r in reports}
         row["lambda_ordering_ok"] = params.lambda_ordering_ok
-        row["tau"] = tau.tolist()
+        row["tau"] = solver.extract_thresholds(policy)[0].tolist()
         rows.append(row)
         print(f"sweep: {axis}={value}: {row['status']}")
 
@@ -268,6 +289,8 @@ def cmd_sweep(cfg: RunConfig, axis: str, values: list[float]) -> int:
         "config": cfg.to_dict(), "axis": axis, "rows": rows,
     })
 
+    if any_rejected:
+        return EXIT_BAD_CONFIG
     if any_nonconverged:
         return EXIT_NOT_CONVERGED
     if any_failed:

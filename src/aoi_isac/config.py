@@ -13,8 +13,8 @@ from __future__ import annotations
 import json
 import typing
 from dataclasses import asdict, dataclass, field, fields
-from pathlib import Path
 
+from .gridio import read_text
 from .model import ModelParams
 from .solver import _check_budget
 
@@ -152,12 +152,8 @@ def build_config(file_values: dict | None = None,
 
 
 def load_config_file(path) -> dict:
+    text = read_text(path)
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValueError(f"config file {path}: invalid JSON ({exc})") from None
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"config file {path}: not valid {exc.encoding} "
-                         f"({exc.reason} at byte {exc.start})") from None
-    except OSError as exc:
-        raise ValueError(f"config file {path}: {exc.strerror}") from None

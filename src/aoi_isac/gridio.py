@@ -33,6 +33,19 @@ def fmt_real(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+def read_text(path) -> str:
+    """The text of an input file. A file that is missing, cannot be read (a
+    directory) or is not UTF-8 raises ValueError naming the path and the
+    reason."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not valid {exc.encoding} ({exc.reason} at "
+                         f"byte {exc.start})") from None
+    except OSError as exc:
+        raise ValueError(f"{path}: {exc.strerror}") from None
+
+
 def write_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
@@ -76,12 +89,7 @@ def _read_grid(path: Path, integer: bool):
     linenos = []
     expected_cols = None
     row_index = 0
-    try:
-        lines = path.read_text().splitlines()
-    except UnicodeDecodeError as exc:
-        raise ValueError(f"{path}: not valid {exc.encoding} ({exc.reason} at "
-                         f"byte {exc.start})") from None
-    for lineno, raw in enumerate(lines, start=1):
+    for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line:
             continue

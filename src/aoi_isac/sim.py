@@ -41,7 +41,8 @@ few gathers and one compare on arrays, and no trajectory's uniforms are
 stored beyond the current slot.
 
 Policies are either stationary grids (int array indexed [alpha_s, alpha_b])
-or small per-slot objects for the stateful baselines.
+or per-slot objects whose ``actions(slot, u)`` gives the slot's action from
+the slot index and the action stream alone, never from the ages.
 """
 
 from __future__ import annotations
@@ -69,17 +70,25 @@ _M_HI, _M_LO = _PCG_MULT >> 64, _PCG_MULT & (1 << 64) - 1
 
 
 class AlternatingPolicy:
-    """Sense on even slots, comm on odd slots, regardless of state."""
+    """Sense on even slots, comm on odd slots, regardless of state.
+
+    ``actions(slot, u)`` returns the one action that every lane plays; u,
+    the action-stream uniforms, is not read.
+    """
 
     uses_action_stream = False
 
-    def actions(self, alpha_s, alpha_b, slot, u=None):
-        return np.broadcast_to(np.int8(slot % 2), np.shape(alpha_s))
+    def actions(self, slot, u=None):
+        return np.int8(slot % 2)
 
 
 class RandomCommPolicy:
     """Comm with probability p each slot (drawn from the action stream),
-    sense otherwise."""
+    sense otherwise, regardless of state.
+
+    ``actions(slot, u)`` returns one action per lane from u, the lanes'
+    action-stream uniforms for the slot.
+    """
 
     uses_action_stream = True
 
@@ -88,7 +97,7 @@ class RandomCommPolicy:
             raise ValueError(f"p must be in [0, 1], got {p}")
         self.p = p
 
-    def actions(self, alpha_s, alpha_b, slot, u):
+    def actions(self, slot, u):
         return (u < self.p).astype(np.int8)
 
 
@@ -306,7 +315,7 @@ def _lockstep(policy, params: ModelParams, s0: State, horizon: int,
             A = grid[X]
         else:
             u = None if action_rng is None else action_rng.random(u_act)
-            A = policy.actions(*np.divmod(X, side), k, u)
+            A = np.broadcast_to(policy.actions(k, u), X.shape)
         np.multiply(X, 2, out=idx)
         idx += A
         success = outcome_rng.random(u_out) < success_prob[idx]

@@ -74,8 +74,8 @@ def extract_policy(V: np.ndarray, params: ModelParams) -> np.ndarray:
 
 
 def _check_budget(tol: float, max_iter: int) -> None:
-    if not tol > 0.0:  # NaN too
-        raise ValueError(f"tol must be > 0, got {tol}")
+    if not 0.0 < tol < math.inf:  # NaN too
+        raise ValueError(f"tol must be finite and > 0, got {tol}")
     if max_iter < 1:
         raise ValueError(f"max_iter must be >= 1, got {max_iter}")
 
@@ -207,15 +207,14 @@ def _policy_tables(policies: np.ndarray, params: ModelParams):
     policies.
 
     p and g are float even for integer inputs, so callers may scale them in
-    place. The costs come from ``dynamics`` over the age vector and are
-    broadcast, so only the outputs are grid-sized.
+    place. Both come from the per-action columns of ``_backup_tables`` and
+    are broadcast, so only the outputs are grid-sized.
     """
     n = params.n_ages
-    _, _, cost = dynamics(np.arange(n)[:, None], 0, params)  # alpha_s alone
-
+    _, success_prob, _, cost = _backup_tables(params)
     shape = np.shape(policies)
     comm = (np.asarray(policies) == Action.COMM).reshape(-1, n, n)
-    p = np.where(comm, float(params.lambda_c), float(params.lambda_s))
+    p = np.where(comm, success_prob[Action.COMM], success_prob[Action.SENSE])
     g = np.where(comm, cost[Action.COMM], cost[Action.SENSE])
     g = g.astype(float, copy=False)
     return comm.reshape(shape), p.reshape(shape), g.reshape(shape)

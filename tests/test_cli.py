@@ -170,10 +170,45 @@ def test_negative_seed_is_rejected_and_named(tmp_path, capsys):
 
 
 def test_nan_solver_tol_is_rejected_and_named(tmp_path, capsys):
-    assert run(tmp_path, "solve", "--solver.tol", "nan", "--model.a_max", "5",
-               "--solver.max_iter", "50") == 2
-    assert "solver.tol" in capsys.readouterr().err
+    for tol in ("nan", "inf"):
+        assert run(tmp_path, "solve", "--solver.tol", tol, "--model.a_max", "5",
+                   "--solver.max_iter", "50") == 2, tol
+        assert "solver.tol" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("document, named", [
+    ('{"sim": {"n": 1}}', "sim.n must be >= 2"),
+    ('{"sim": {"horizon": 0}}', "sim.horizon must be >= 1"),
+    ('{"sim": {"s0": [1, 9]}}', "sim.s0 must be two integers in [0, 8]"),
+    ('[1]', "config document must be an object"),
+    ('{"model": 5}', "config section 'model' must be an object"),
+    ('{"modle": {}}', "unknown config section 'modle'"),
+    ('{"model": ', "run.json: invalid JSON"),
+], ids=["n", "horizon", "s0", "document", "section", "unknown-section", "json"])
+def test_rejected_config_file_exits_2_naming_it(tmp_path, capsys, document, named):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(document)
+    assert run(tmp_path, "solve", "--config", str(cfg_path), "--model.a_max", "8") == 2
+    assert named in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_integer_s0_element_is_rejected_and_named(tmp_path, capsys):
+    assert run(tmp_path, "simulate", *small_flags(), "--sim.s0", "1,x") == 2
+    assert "sim.s0 must be a list" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("directory", ["file", "file/sub"],
+                         ids=["a-file", "under-a-file"])
+def test_output_directory_that_cannot_be_made_exits_2_naming_it(tmp_path, capsys,
+                                                                directory):
+    (tmp_path / "file").write_text("kept\n")
+    assert main(["solve", *small_flags(),
+                 "--output.directory", str(tmp_path / directory)]) == 2
+    assert f"output.directory {tmp_path / directory}: " in capsys.readouterr().err
+    assert (tmp_path / "file").read_text() == "kept\n"
 
 
 def test_every_config_leaf_has_a_flag():
@@ -399,8 +434,8 @@ def test_sweep_header_names_the_reports_of_run_all_checks(tmp_path):
 
 
 def test_all_rejected_sweep_still_writes_the_full_header(tmp_path):
-    run(tmp_path, "sweep", "--axis", "lambda_s", "--values", "1.2",
-        *small_flags(a_max=4))
+    assert run(tmp_path, "sweep", "--axis", "lambda_s", "--values", "1.2",
+               *small_flags(a_max=4)) == 2
     assert sweep_header(tmp_path) == ",".join(
         ["lambda_s", "status", *CHECK_NAMES, "tau"])
     rows = read_bytes(tmp_path, "sweep.csv").decode().splitlines()
@@ -408,8 +443,9 @@ def test_all_rejected_sweep_still_writes_the_full_header(tmp_path):
 
 
 def test_sweep_rejects_out_of_range_value(tmp_path, capsys):
-    run(tmp_path, "sweep", "--axis", "lambda_s", "--values", "0.3,1.2",
-        *small_flags(a_max=6))
+    # exit 2 for the rejected value wins over the other row's exit 4
+    assert run(tmp_path, "sweep", "--axis", "lambda_s", "--values", "0.3,1.2",
+               *small_flags(a_max=6)) == 2
     assert "rejected" in capsys.readouterr().err
     report = json.loads(read_bytes(tmp_path, "sweep_report.json"))
     statuses = {r["value"]: r["status"] for r in report["rows"]}
@@ -452,3 +488,47 @@ def test_verify_names_each_artifact_of_the_wrong_shape(tmp_path, capsys):
     assert run(tmp_path, "verify", *small_flags(a_max=4)) == 2
     err = capsys.readouterr().err
     assert "value.csv (2, 2), policy.csv (3, 3)" in err
+
+
+def test_verify_rejects_artifacts_solved_for_another_model(tmp_path, capsys):
+    assert run(tmp_path, "solve", *small_flags(), "--model.c_c", "0.1") == 0
+    assert run(tmp_path, "verify", *small_flags(), "--model.c_c", "0.4") == 2
+    err = capsys.readouterr().err
+    for name in ("value.csv", "policy.csv"):
+        assert f"{name} was solved for another model: model.c_c=0.1 (not 0.4)" in err
+    assert "model.gamma" not in err
+    assert not (tmp_path / "out" / "verify_report.json").exists()
+    # the other sections may differ
+    assert run(tmp_path, "verify", *small_flags(n=20), "--model.c_c", "0.1") == 4
+    path = tmp_path / "out" / "policy.csv"
+    path.write_text(path.read_text().replace("# config = {", "# config = [", 1))
+    assert run(tmp_path, "verify", *small_flags(), "--model.c_c", "0.1") == 2
+    assert f"{path}: 'config =' comment has no model object" in capsys.readouterr().err
+
+
+def test_in_process_verify_that_does_not_converge_exits_3(tmp_path, capsys):
+    assert run(tmp_path, "verify", *small_flags(), "--solver.max_iter", "3") == 3
+    assert "in-process solve did not converge" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "verify_report.json").exists()
+
+
+def test_simulate_optimal_that_does_not_converge_exits_3(tmp_path, capsys):
+    assert run(tmp_path, "simulate", *small_flags(), "--solver.max_iter", "3") == 3
+    assert "optimal policy did not converge" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_sweep_exits_3_on_unconverged_values_and_2_on_rejected_ones(tmp_path):
+    assert run(tmp_path, "sweep", "--axis", "c_c", "--values", "0.1,0.2",
+               *small_flags(), "--solver.max_iter", "3") == 3
+    rows = json.loads(read_bytes(tmp_path, "sweep_report.json"))["rows"]
+    assert rows == [{"value": 0.1, "status": "not_converged"},
+                    {"value": 0.2, "status": "not_converged"}]
+    lines = read_bytes(tmp_path, "sweep.csv").decode().splitlines()
+    assert lines[-1] == (f"{gridio.fmt_real(0.2)},not_converged"
+                         + "," * (len(CHECK_NAMES) + 1))
+    # a rejected value wins over an unconverged one
+    assert run(tmp_path, "sweep", "--axis", "c_c", "--values", "0.1,-1",
+               *small_flags(), "--solver.max_iter", "3") == 2
+    rows = json.loads(read_bytes(tmp_path, "sweep_report.json"))["rows"]
+    assert [r["status"] for r in rows] == ["not_converged", "rejected"]
