@@ -1,23 +1,25 @@
 """Solve the reference instance and inspect the optimal decision map.
 
-Runs value iteration on the 31x31 age grid (lambda_s=0.6, lambda_c=0.9,
-c_s=0.2, c_c=0.1, gamma=0.95), then prints the solve report, the switching
-thresholds tau(alpha_b), and an S/C glyph map of the optimal policy. The
-sense region is a staircase: sensing is optimal while the source age is
-small, and the staircase moves right as the base-station age grows.
+Solves the 31x31 age grid (lambda_s=0.6, lambda_c=0.9, c_s=0.2, c_c=0.1,
+gamma=0.95) with ``solve``, as the CLI does: Bellman sweeps that switch to
+policy iteration once the greedy policy settles. Then prints the solve
+report, the switching thresholds tau(alpha_b), and an S/C glyph map of the
+optimal policy. The sense region is a staircase: sensing is optimal while
+the source age is small, and the staircase moves right as the base-station
+age grows.
 """
 
 import numpy as np
 
-from aoi_isac import (default_model_params, extract_thresholds, gridio,
-                      value_iteration)
+from aoi_isac import default_model_params, extract_thresholds, gridio, solve
 
 
 def main():
     params = default_model_params()
     print(f"solving: {params}")
-    V, policy, report = value_iteration(params, tol=1e-9)
-    print(f"converged in {report.iterations} sweeps "
+    V, policy, report = solve(params, tol=1e-9)
+    print(f"converged in {report.iterations} sweeps and "
+          f"{len(report.policy_changes)} policy evaluations "
           f"(final sweep change {report.final_sweep_delta:.2e}, "
           f"suboptimality bound {report.suboptimality_bound:.2e}, "
           f"{report.wall_time * 1e3:.1f} ms)")

@@ -16,12 +16,12 @@ can see it hug the switching curve.
 import numpy as np
 
 from aoi_isac import (check_submodular, default_model_params,
-                      extract_thresholds, run_all_checks, value_iteration)
+                      extract_thresholds, run_all_checks, solve)
 
 
 def main():
     params = default_model_params()
-    V, policy, report = value_iteration(params, tol=1e-9)
+    V, policy, report = solve(params, tol=1e-9)
     print(f"solved in {report.iterations} sweeps; lambda_c >= lambda_s: "
           f"{params.lambda_ordering_ok}\n")
 

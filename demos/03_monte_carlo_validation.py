@@ -8,15 +8,14 @@ the naive baselines with the same seeds: never updating the source
 dramatically worse; blind alternation and coin-flipping land in between.
 """
 
-from aoi_isac import (baseline_policy, default_model_params, estimate_value,
-                      value_iteration)
+from aoi_isac import baseline_policy, default_model_params, estimate_value, solve
 
 N, HORIZON, SEED, S0 = 10_000, 400, 42, (1, 1)
 
 
 def main():
     params = default_model_params()
-    V, policy, _ = value_iteration(params, tol=1e-9)
+    V, policy, _ = solve(params, tol=1e-9)
     v_star = float(V[S0])
 
     est = estimate_value(policy, params, S0, n=N, horizon=HORIZON, seed=SEED)

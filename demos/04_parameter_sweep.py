@@ -10,7 +10,7 @@ threshold structure is robust across the whole sweep.
 from dataclasses import replace
 
 from aoi_isac import (check_threshold_monotone, default_model_params,
-                      extract_thresholds, value_iteration)
+                      extract_thresholds, solve)
 
 SWEEPS = [("c_c", (0.05, 0.1, 0.2, 0.4)),
           ("gamma", (0.5, 0.9, 0.95)),
@@ -23,7 +23,7 @@ def main():
         print(f"sweep {axis}:")
         for value in values:
             params = replace(base, **{axis: value})
-            V, policy, report = value_iteration(params, tol=1e-9)
+            V, policy, report = solve(params, tol=1e-9)
             tau, sc_ok = extract_thresholds(policy)
             monotone = check_threshold_monotone(tau).passed
             verdict = "staircase ok" if (sc_ok and monotone) else "STRUCTURE BROKEN"

@@ -27,6 +27,10 @@ EXIT_BAD_CONFIG = 2
 EXIT_NOT_CONVERGED = 3
 EXIT_CHECK_FAILED = 4
 
+# the exit code of each sweep row status other than "ok"
+SWEEP_EXITS = {"rejected": EXIT_BAD_CONFIG, "not_converged": EXIT_NOT_CONVERGED,
+               "check_failed": EXIT_CHECK_FAILED}
+
 SWEEP_AXES = tuple(dotted.partition(".")[2] for dotted, typ in FIELDS.items()
                    if dotted.startswith("model.") and typ is float)
 
@@ -140,9 +144,8 @@ def cmd_verify(cfg: RunConfig) -> int:
     have_v, have_p = value_path.exists(), policy_path.exists()
     if have_v != have_p:
         missing = policy_path if have_v else value_path
-        print(f"error: incomplete solve artifacts in {out} (missing {missing.name}); "
-              f"run solve or remove the leftover file", file=sys.stderr)
-        return EXIT_BAD_CONFIG
+        raise ValueError(f"incomplete solve artifacts in {out} (missing "
+                         f"{missing.name}); run solve or remove the leftover file")
     if have_v:
         V, v_comments = gridio.read_grid_csv(value_path)
         policy, p_comments = gridio.read_policy_csv(policy_path)
@@ -151,24 +154,19 @@ def cmd_verify(cfg: RunConfig) -> int:
                                           (policy_path, p_comments))
                    if (fields := _model_mismatch(path, comments, cfg.model))]
         if foreign:
-            print("error: " + "; ".join(foreign), file=sys.stderr)
-            return EXIT_BAD_CONFIG
+            raise ValueError("; ".join(foreign))
         mismatched = [f"{path.name} {grid.shape}"
                       for path, grid in ((value_path, V), (policy_path, policy))
                       if grid.shape != cfg.model.grid_shape]
         if mismatched:
-            print(f"error: artifact grids {', '.join(mismatched)} do not match "
-                  f"model.a_max={cfg.model.a_max} {cfg.model.grid_shape}",
-                  file=sys.stderr)
-            return EXIT_BAD_CONFIG
+            raise ValueError(f"artifact grids {', '.join(mismatched)} do not match "
+                             f"model.a_max={cfg.model.a_max} {cfg.model.grid_shape}")
         source = "artifacts"
     else:
         V, policy, report = _solve(cfg.model, cfg.solver)
         source = "in-process"
         if not report.converged:
-            print("error: in-process solve did not converge; nothing to verify",
-                  file=sys.stderr)
-            return EXIT_NOT_CONVERGED
+            raise RuntimeError("in-process solve did not converge; nothing to verify")
 
     reports = structure.run_all_checks(V, policy, cfg.model, tol=cfg.solver.tol)
     all_passed = all(r.passed for r in reports)
@@ -194,9 +192,6 @@ def _resolve_policy(cfg: RunConfig, source: str, policy_file: str | None):
     the optimal policy, where the solve happens anyway."""
     if policy_file is not None:
         policy, _ = gridio.read_policy_csv(policy_file)
-        if policy.shape != cfg.model.grid_shape:
-            raise ValueError(f"policy file grid {policy.shape} does not match "
-                             f"model.a_max={cfg.model.a_max}")
         return policy, f"file:{policy_file}", None
     if source == "optimal":
         V, policy, report = _solve(cfg.model, cfg.solver)
@@ -211,10 +206,9 @@ def _resolve_policy(cfg: RunConfig, source: str, policy_file: str | None):
 
 def cmd_simulate(cfg: RunConfig, policy_source: str, policy_file: str | None) -> int:
     policy, label, v_star = _resolve_policy(cfg, policy_source, policy_file)
+    out = _outdir(cfg)
     est = sim.estimate_value(policy, cfg.model, cfg.sim.s0, cfg.sim.n,
                              cfg.sim.horizon, cfg.sim.seed)
-
-    out = _outdir(cfg)
     summary = {
         "config": cfg.to_dict(),
         "policy_source": label,
@@ -240,31 +234,26 @@ def cmd_simulate(cfg: RunConfig, policy_source: str, policy_file: str | None) ->
 
 def cmd_sweep(cfg: RunConfig, axis: str, values: list[float]) -> int:
     if axis not in SWEEP_AXES:
-        print(f"error: sweep axis must be one of {SWEEP_AXES}, got {axis!r}",
-              file=sys.stderr)
-        return EXIT_BAD_CONFIG
+        raise ValueError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
+    out = _outdir(cfg)
 
     rows = []
-    any_rejected = any_failed = any_nonconverged = False
     for value in values:
         row = {"value": value}
         try:
             params = dataclasses.replace(cfg.model, **{axis: value})
         except ValueError as exc:
             print(f"sweep: {axis}={value} rejected: {exc}", file=sys.stderr)
-            any_rejected = True
             row["status"] = "rejected"
             rows.append(row)
             continue
         V, policy, report = _solve(params, cfg.solver)
         if not report.converged:
-            any_nonconverged = True
             row["status"] = "not_converged"
             rows.append(row)
             continue
         reports = structure.run_all_checks(V, policy, params, tol=cfg.solver.tol)
         passed = all(r.passed for r in reports)
-        any_failed |= not passed
         row["status"] = "ok" if passed else "check_failed"
         row["checks"] = {r.check_name: r.passed for r in reports}
         row["lambda_ordering_ok"] = params.lambda_ordering_ok
@@ -272,7 +261,6 @@ def cmd_sweep(cfg: RunConfig, axis: str, values: list[float]) -> int:
         rows.append(row)
         print(f"sweep: {axis}={value}: {row['status']}")
 
-    out = _outdir(cfg)
     lines = [f"# {c}" for c in _config_comment(cfg, f"sweep axis={axis}")]
     lines.append(",".join([axis, "status", *structure.CHECK_NAMES, "tau"]))
     for row in rows:
@@ -288,14 +276,10 @@ def cmd_sweep(cfg: RunConfig, axis: str, values: list[float]) -> int:
     gridio.write_json(out / "sweep_report.json", {
         "config": cfg.to_dict(), "axis": axis, "rows": rows,
     })
-
-    if any_rejected:
-        return EXIT_BAD_CONFIG
-    if any_nonconverged:
-        return EXIT_NOT_CONVERGED
-    if any_failed:
-        return EXIT_CHECK_FAILED
-    return EXIT_OK
+    # the lowest code present wins: a rejected value ahead of an unconverged
+    # solve ahead of a failed check
+    return min((SWEEP_EXITS[row["status"]] for row in rows
+                if row["status"] != "ok"), default=EXIT_OK)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -53,7 +53,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Action, ModelParams, State, dynamics
+from .model import Action, ModelParams, State, dynamics, stage_cost
 
 _OUTCOME_STREAM, _ACTION_STREAM = 0, 1
 # trajectories run together; bounds the working memory (about 200 bytes a
@@ -295,8 +295,8 @@ def _lockstep(policy, params: ModelParams, s0: State, horizon: int,
     grid = None
     if isinstance(policy, np.ndarray):
         if policy.shape != params.grid_shape:
-            raise ValueError(f"policy grid shape {policy.shape} != "
-                             f"{params.grid_shape}")
+            raise ValueError(f"policy grid shape {policy.shape} does not match "
+                             f"model.a_max={params.a_max} {params.grid_shape}")
         grid = (policy[:side, :side] == Action.COMM).astype(np.int8).ravel()
     successor, stage, success_prob = _tables(reach)
     outcome_rng = _PCG64Lanes(root, keys, _OUTCOME_STREAM)
@@ -387,6 +387,6 @@ def trajectory_csv_lines(traj: Trajectory, params: ModelParams) -> list[str]:
     for k in range(traj.horizon):
         a_s, a_b = traj.states[k]
         act = int(traj.actions[k])
-        g = a_s + params.activation_cost(act)
+        g = stage_cost((a_s, a_b), act, params)
         lines.append(f"{k},{a_s},{a_b},{act},{int(traj.outcomes[k])},{g:.17g}")
     return lines

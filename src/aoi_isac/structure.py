@@ -38,11 +38,14 @@ CHECK_NAMES = ("monotone", "submodular", "delta_monotone", "q_submodular",
 @dataclass
 class StructureReport:
     check_name: str
-    passed: bool
     violations: list = field(default_factory=list)
     tolerance: float = DEFAULT_TOL
     region: str = "full grid"
     lambda_ordering_ok: bool | None = None  # set by checks that rely on lambda_c >= lambda_s
+
+    @property
+    def passed(self) -> bool:
+        return not self.violations
 
     def to_dict(self) -> dict:
         d = {
@@ -75,7 +78,7 @@ def check_monotone(V: np.ndarray, tol: float = DEFAULT_TOL) -> StructureReport:
     """Coordinatewise nondecreasing in both ages, over all adjacent pairs."""
     V = np.asarray(V, dtype=float)
     violations = _axis_drops(V, 0, tol, "alpha_s") + _axis_drops(V, 1, tol, "alpha_b")
-    return StructureReport("monotone", not violations, violations, tol)
+    return StructureReport("monotone", violations, tol)
 
 
 def _submodular_excesses(grid: np.ndarray, tol: float, *label) -> list:
@@ -88,7 +91,7 @@ def check_submodular(V: np.ndarray, tol: float = DEFAULT_TOL) -> StructureReport
     """V(a+1,b+1) + V(a,b) <= V(a+1,b) + V(a,b+1) on every 2x2 block."""
     V = np.asarray(V, dtype=float)
     violations = _submodular_excesses(V, tol)
-    return StructureReport("submodular", not violations, violations, tol)
+    return StructureReport("submodular", violations, tol)
 
 
 def check_delta_monotone(V: np.ndarray, params: ModelParams,
@@ -100,7 +103,7 @@ def check_delta_monotone(V: np.ndarray, params: ModelParams,
     rise = np.diff(d, axis=1)
     violations += _listed(rise > tol, rise, "alpha_b")
     return StructureReport(
-        "delta_monotone", not violations, violations, tol,
+        "delta_monotone", violations, tol,
         region=f"interior alpha_s, alpha_b <= {params.a_max - 1} "
                f"(saturated row/column skipped)",
         lambda_ordering_ok=params.lambda_ordering_ok,
@@ -117,7 +120,7 @@ def check_q_submodular(V: np.ndarray, params: ModelParams,
     violations = (_submodular_excesses(q_sense[interior], tol, "sense")
                   + _submodular_excesses(q_comm[interior], tol, "comm"))
     return StructureReport(
-        "q_submodular", not violations, violations, tol,
+        "q_submodular", violations, tol,
         region=f"interior alpha_s, alpha_b <= {params.a_max - 1} "
                f"(saturated row/column skipped)",
     )
@@ -130,8 +133,8 @@ def check_threshold_monotone(tau: np.ndarray) -> StructureReport:
     drop = -np.diff(tau)
     bad = np.flatnonzero(drop > 0)
     violations = [(int(j), int(drop[j])) for j in bad]
-    return StructureReport("threshold_monotone", not violations, violations,
-                           tolerance=0.0, region="tau over alpha_b")
+    return StructureReport("threshold_monotone", violations, tolerance=0.0,
+                           region="tau over alpha_b")
 
 
 def check_single_crossing(policy: np.ndarray) -> StructureReport:
@@ -144,8 +147,8 @@ def check_single_crossing(policy: np.ndarray) -> StructureReport:
     flips = (policy[1:] == Action.SENSE) & (policy[:-1] == Action.COMM)
     b, s = np.nonzero(flips.T)
     violations = list(zip(b.tolist(), (s + 1).tolist()))
-    return StructureReport("single_crossing", not violations, violations,
-                           tolerance=0.0, region="policy rows, alpha_s ascending")
+    return StructureReport("single_crossing", violations, tolerance=0.0,
+                           region="policy rows, alpha_s ascending")
 
 
 def run_all_checks(V: np.ndarray, policy: np.ndarray, params: ModelParams,

@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from aoi_isac import gridio
+from aoi_isac import cli, gridio, sim
 from aoi_isac.cli import SWEEP_AXES, _build_parser, main
 from aoi_isac.config import RunConfig
 from aoi_isac.model import ModelParams
@@ -532,3 +532,35 @@ def test_sweep_exits_3_on_unconverged_values_and_2_on_rejected_ones(tmp_path):
                *small_flags(), "--solver.max_iter", "3") == 2
     rows = json.loads(read_bytes(tmp_path, "sweep_report.json"))["rows"]
     assert [r["status"] for r in rows] == ["not_converged", "rejected"]
+
+
+@pytest.mark.parametrize("argv, work", [
+    (["sweep", "--axis", "c_c", "--values", "0.1,0.2"], (cli, "_solve")),
+    (["simulate", "--policy", "always_sense"], (sim, "estimate_value")),
+], ids=["sweep", "simulate"])
+def test_output_directory_is_made_before_the_work(tmp_path, capsys, monkeypatch,
+                                                  argv, work):
+    def never(*args, **kwargs):
+        raise AssertionError("ran before the output directory was made")
+
+    monkeypatch.setattr(*work, never)
+    (tmp_path / "file").write_text("kept\n")
+    directory = tmp_path / "file" / "sub"
+    assert main([*argv, *small_flags(), "--output.directory", str(directory)]) == 2
+    captured = capsys.readouterr()
+    assert f"output.directory {directory}: " in captured.err
+    assert captured.out == ""  # no sweep row, no estimate
+
+
+def test_sweep_exits_0_when_every_check_passes(tmp_path, capsys):
+    # at gamma = 0, V*(a, b) = a + min(c_s, c_c): monotone, modular, and comm
+    # (the cheaper action) in every state
+    assert run(tmp_path, "sweep", "--axis", "gamma", "--values", "0",
+               "--model.a_max", "8") == 0
+    assert capsys.readouterr().out == "sweep: gamma=0.0: ok\n"
+    rows = json.loads(read_bytes(tmp_path, "sweep_report.json"))["rows"]
+    assert [r["status"] for r in rows] == ["ok"]
+    assert rows[0]["checks"] == {name: True for name in CHECK_NAMES}
+    assert rows[0]["tau"] == [-1] * 9
+    lines = read_bytes(tmp_path, "sweep.csv").decode().splitlines()
+    assert lines[-1] == "0,ok," + "1," * len(CHECK_NAMES) + ";".join(["-1"] * 9)
