@@ -189,9 +189,11 @@ def cmd_verify(cfg: RunConfig) -> int:
 
 def _resolve_policy(cfg: RunConfig, source: str, policy_file: str | None):
     """Returns (policy, label, v_star or None). v_star is only available for
-    the optimal policy, where the solve happens anyway."""
+    the optimal policy, where the solve happens anyway. A policy file's grid
+    is checked here, before the output directory is made."""
     if policy_file is not None:
         policy, _ = gridio.read_policy_csv(policy_file)
+        sim.check_policy_grid(policy, cfg.model)
         return policy, f"file:{policy_file}", None
     if source == "optimal":
         V, policy, report = _solve(cfg.model, cfg.solver)
@@ -248,16 +250,15 @@ def cmd_sweep(cfg: RunConfig, axis: str, values: list[float]) -> int:
             rows.append(row)
             continue
         V, policy, report = _solve(params, cfg.solver)
-        if not report.converged:
+        if report.converged:
+            reports = structure.run_all_checks(V, policy, params, tol=cfg.solver.tol)
+            passed = all(r.passed for r in reports)
+            row["status"] = "ok" if passed else "check_failed"
+            row["checks"] = {r.check_name: r.passed for r in reports}
+            row["lambda_ordering_ok"] = params.lambda_ordering_ok
+            row["tau"] = solver.extract_thresholds(policy)[0].tolist()
+        else:
             row["status"] = "not_converged"
-            rows.append(row)
-            continue
-        reports = structure.run_all_checks(V, policy, params, tol=cfg.solver.tol)
-        passed = all(r.passed for r in reports)
-        row["status"] = "ok" if passed else "check_failed"
-        row["checks"] = {r.check_name: r.passed for r in reports}
-        row["lambda_ordering_ok"] = params.lambda_ordering_ok
-        row["tau"] = solver.extract_thresholds(policy)[0].tolist()
         rows.append(row)
         print(f"sweep: {axis}={value}: {row['status']}")
 

@@ -45,11 +45,6 @@ class Action(IntEnum):
     COMM = 1
 
 
-class Outcome(IntEnum):
-    FAIL = 0
-    SUCCESS = 1
-
-
 @dataclass(frozen=True)
 class ModelParams:
     """Scalar problem constants.
@@ -123,43 +118,9 @@ class ModelParams:
         return self.c_c if action == Action.COMM else self.c_s
 
 
-def _check_state(state: State, params: ModelParams) -> None:
-    a_s, a_b = state
-    if not (0 <= a_s <= params.a_max and 0 <= a_b <= params.a_max):
-        raise ValueError(f"state {state!r} outside the grid [0, {params.a_max}]^2")
-
-
-def transition(state: State, action: Action | int, outcome: Outcome | int,
-               params: ModelParams) -> State:
-    """Deterministic successor of (state, action, outcome), saturated at a_max."""
-    _check_state(state, params)
-    a_s, a_b = state
-    if action == Action.SENSE:
-        nxt_s, nxt_b = (a_s + 1, 1) if outcome == Outcome.SUCCESS else (a_s + 1, a_b + 1)
-    else:
-        nxt_s, nxt_b = (a_b + 1, a_b + 1) if outcome == Outcome.SUCCESS else (a_s + 1, a_b + 1)
-    cap = params.a_max
-    return (min(nxt_s, cap), min(nxt_b, cap))
-
-
 def stage_cost(state: State, action: Action | int, params: ModelParams) -> float:
     """Per-slot cost: source age plus the activation cost of the action."""
     return state[0] + params.activation_cost(action)
-
-
-def q_value(V: np.ndarray, state: State, action: Action | int,
-            params: ModelParams) -> float:
-    """Action value: stage cost plus the discounted two-point expectation of V."""
-    V = np.asarray(V)
-    p = params.success_prob(action)
-    v_succ = V[transition(state, action, Outcome.SUCCESS, params)]
-    v_fail = V[transition(state, action, Outcome.FAIL, params)]
-    return stage_cost(state, action, params) + params.gamma * (p * v_succ + (1.0 - p) * v_fail)
-
-
-def delta(V: np.ndarray, state: State, params: ModelParams) -> float:
-    """Action difference Q_sense - Q_comm; sensing is preferred where it is <= 0."""
-    return q_value(V, state, Action.SENSE, params) - q_value(V, state, Action.COMM, params)
 
 
 def dynamics(alpha_s, alpha_b, params: ModelParams):
@@ -170,7 +131,8 @@ def dynamics(alpha_s, alpha_b, params: ModelParams):
     (alpha_s', alpha_b') after action a succeeds, fail the successor after
     either action fails, and cost[a] the stage cost of action a, with a
     indexing Action. Each component keeps the shape of the age array it is
-    computed from. Entries agree with ``transition`` and ``stage_cost``.
+    computed from. Entries agree with ``stage_cost`` and the scalar
+    ``transition`` of tests/reference.py.
     """
     up_s = np.minimum(np.add(alpha_s, 1), params.a_max)
     up_b = np.minimum(np.add(alpha_b, 1), params.a_max)
@@ -207,13 +169,13 @@ def q_grids(V: np.ndarray, params: ModelParams,
     """Both action-value grids over the full state grid, vectorised.
 
     Returns Q of shape (2, n, n), Q[0] = q_sense and Q[1] = q_comm, which
-    unpacks as the pair; entries agree with ``q_value`` at every state,
-    including saturated boundary states. The success successors and costs
-    come from ``dynamics`` once per params: the costs and the sense success
-    term depend on alpha_s alone and the comm success term on alpha_b
-    alone, so they are gathered as columns and a row. The fail successor is
-    read as a shifted view of V, so no grid-sized index or temporary array
-    is built, and each step runs once for both actions.
+    unpacks as the pair; entries agree with tests/reference.py's ``q_value``
+    at every state, including saturated boundary states. The success
+    successors and costs come from ``dynamics`` once per params: the costs
+    and the sense success term depend on alpha_s alone and the comm success
+    term on alpha_b alone, so they are gathered as columns and a row. The
+    fail successor is read as a shifted view of V, so no grid-sized index or
+    temporary array is built, and each step runs once for both actions.
 
     ``out`` optionally receives the result, which is then returned: a
     C-contiguous float64 array of shape (2, n, n) that does not overlap V.

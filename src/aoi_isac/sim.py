@@ -272,6 +272,13 @@ def _tables(params: ModelParams):
             interleave(float, params.lambda_s, params.lambda_c))
 
 
+def check_policy_grid(policy: np.ndarray, params: ModelParams) -> None:
+    """Raise ValueError unless the policy grid has the model's grid shape."""
+    if policy.shape != params.grid_shape:
+        raise ValueError(f"policy grid shape {policy.shape} does not match "
+                         f"model.a_max={params.a_max} {params.grid_shape}")
+
+
 def _lockstep(policy, params: ModelParams, s0: State, horizon: int,
               root: np.random.SeedSequence, keys: np.ndarray | None):
     """Run trajectories from s0 in lockstep through the dynamics.
@@ -294,9 +301,7 @@ def _lockstep(policy, params: ModelParams, s0: State, horizon: int,
     side = reach.n_ages
     grid = None
     if isinstance(policy, np.ndarray):
-        if policy.shape != params.grid_shape:
-            raise ValueError(f"policy grid shape {policy.shape} does not match "
-                             f"model.a_max={params.a_max} {params.grid_shape}")
+        check_policy_grid(policy, params)
         grid = (policy[:side, :side] == Action.COMM).astype(np.int8).ravel()
     successor, stage, success_prob = _tables(reach)
     outcome_rng = _PCG64Lanes(root, keys, _OUTCOME_STREAM)

@@ -3,8 +3,8 @@
 ``solve`` is the workhorse: value-iteration sweeps until the greedy policy
 settles, then policy iteration from that policy, then sweeps again until the
 sweep change meets the tolerance. Plain value iteration is the reference it
-is tested against; policy iteration from a cold start and exhaustive policy
-enumeration (tiny grids only) serve as independent cross-checks. Policy
+is tested against; tests/reference.py holds the cold-start policy iteration
+and exhaustive enumeration (tiny grids) that cross-check it. Policy
 evaluation is exact at every grid size: ``evaluate_policy`` solves for the
 values of the at most 2 a_max - 1 anchor states that a success can reach,
 while the oracle solves the dense (I - gamma P) v = g. Every loop has a
@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (Action, ModelParams, _backup_tables, delta_grid, dynamics,
-                    q_grids)
+from .model import Action, ModelParams, _backup_tables, delta_grid, q_grids
 
 
 @dataclass
@@ -201,53 +200,6 @@ def extract_thresholds(policy: np.ndarray) -> tuple[np.ndarray, bool]:
     return tau, single_crossing_ok
 
 
-def _policy_tables(policies: np.ndarray, params: ModelParams):
-    """(comm, p, g) of flattened policies (states last): whether each state
-    communicates, its success probability and its stage cost, shaped like
-    policies.
-
-    p and g are float even for integer inputs, so callers may scale them in
-    place. Both come from the per-action columns of ``_backup_tables`` and
-    are broadcast, so only the outputs are grid-sized.
-    """
-    n = params.n_ages
-    _, success_prob, _, cost = _backup_tables(params)
-    shape = np.shape(policies)
-    comm = (np.asarray(policies) == Action.COMM).reshape(-1, n, n)
-    p = np.where(comm, success_prob[Action.COMM], success_prob[Action.SENSE])
-    g = np.where(comm, cost[Action.COMM], cost[Action.SENSE])
-    g = g.astype(float, copy=False)
-    return comm.reshape(shape), p.reshape(shape), g.reshape(shape)
-
-
-def _linear_systems(policies: np.ndarray, params: ModelParams):
-    """(I - gamma P, g) of a batch of policies, one flattened policy per row.
-
-    policies has shape (B, n_states); returns A of shape (B, n_states,
-    n_states) and g of shape (B, n_states), so that each policy's value is
-    the solution of A[k] v = g[k]: the dense reference of the exhaustive
-    oracle and the tests.
-    """
-    comm, p, g = _policy_tables(policies, params)
-    n = params.n_ages
-    ages = np.arange(n)
-    succ, fail, _ = dynamics(ages[:, None], ages[None, :], params)
-    succ_sense, succ_comm = (s * n + b for s, b in succ)
-    succ_idx = np.where(comm.reshape(-1, n, n), succ_comm,
-                        succ_sense).reshape(p.shape)
-    fail_idx = (fail[0] * n + fail[1]).ravel()
-    batch, n_states = p.shape
-    states = np.arange(n_states)
-    b_idx = np.arange(batch)[:, None]
-    A = np.zeros((batch, n_states, n_states))
-    A[:, states, states] = 1.0
-    # success and fail successors can coincide at saturation; the two
-    # subtractions are separate statements, so both land
-    A[b_idx, states, succ_idx] -= params.gamma * p
-    A[b_idx, states, fail_idx] -= params.gamma * (1.0 - p)
-    return A, g
-
-
 # Fail-chain weights prod gamma (1 - p) below this are zeroed. Each anchor's
 # chain starts at weight 1, so a dropped term of u (weight * stage cost) or
 # of W (weight * gamma p) is under 1e-200 of a weight-1 term of the same
@@ -295,7 +247,10 @@ def evaluate_policy(policy: np.ndarray, params: ModelParams) -> np.ndarray:
     if policy.shape != params.grid_shape:
         raise ValueError(f"policy shape {policy.shape} != {params.grid_shape}")
     n, top = params.n_ages, params.a_max
-    comm, p, g = _policy_tables(policy, params)
+    succ, success_prob, _, cost = _backup_tables(params)
+    comm = policy == Action.COMM
+    p = np.where(comm, success_prob[Action.COMM], success_prob[Action.SENSE])
+    g = np.where(comm, cost[Action.COMM], cost[Action.SENSE]).astype(float, copy=False)
     q = params.gamma * (1.0 - p)
     gp = np.multiply(params.gamma, p, out=p)  # p is not needed again
     scale = 1.0 / (1.0 - q[top, top])
@@ -305,7 +260,6 @@ def evaluate_policy(policy: np.ndarray, params: ModelParams) -> np.ndarray:
 
     # each age's success successor (flat) and its anchor's slot: sense
     # along alpha_s, comm along alpha_b
-    succ = _backup_tables(params)[0]
     anchors = np.union1d(succ[0][~comm.all(axis=1)], succ[1][comm.any(axis=0)])
     slot = np.searchsorted(anchors, succ)
     # an age where no state plays the action has no anchor; any valid slot
@@ -382,54 +336,3 @@ def _improve(policy: np.ndarray, params: ModelParams, max_sweeps: int = 1000
             return V, policy, changes
         policy, V = improved, None  # no stale grid beside the next evaluation
     raise RuntimeError(f"policy iteration did not stabilise within {max_sweeps} sweeps")
-
-
-def policy_iteration(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Policy iteration from the greedy policy of V = 0: alternate exact
-    evaluation (``evaluate_policy``) with greedy improvement (ties to sense)
-    until the policy is stable; returns (V, policy). Raises RuntimeError
-    after 1000 evaluations (``_improve``'s bound)."""
-    policy = extract_policy(np.zeros(params.grid_shape), params)
-    V, policy, _ = _improve(policy, params)
-    return V, policy
-
-
-def exhaustive_policy_oracle(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
-    """Brute-force ground truth for tiny grids: evaluate every stationary
-    deterministic policy exactly and return the pointwise-minimal value grid
-    with its argmin policy.
-
-    Only admissible for (a_max+1)^2 <= 16 states (at most 65536 policies);
-    each candidate is evaluated by a batched linear solve.
-    """
-    n_states = params.n_ages ** 2
-    if n_states > 16:
-        raise ValueError(
-            f"exhaustive enumeration needs (a_max+1)^2 <= 16 states, got {n_states}")
-
-    state_bit = np.arange(n_states, dtype=np.int64)
-
-    v_min = np.full(n_states, np.inf)
-    best_sum = np.inf
-    best_bits = None
-    best_v = None
-    total, chunk = 1 << n_states, 4096  # a batch's systems take 8 MB
-    for lo in range(0, total, chunk):
-        idx = np.arange(lo, min(lo + chunk, total), dtype=np.int64)
-        bits = (idx[:, None] >> state_bit[None, :]) & 1          # (B, n_states)
-        A, g = _linear_systems(bits, params)
-        v_all = np.linalg.solve(A, g[..., None])[..., 0]         # (B, n_states)
-
-        v_min = np.minimum(v_min, v_all.min(axis=0))
-        sums = v_all.sum(axis=1)
-        k = int(np.argmin(sums))
-        if sums[k] < best_sum:
-            best_sum = sums[k]
-            best_bits = bits[k]
-            best_v = v_all[k]
-
-    # a single policy attains the pointwise minimum; a gap here is a fault
-    if not np.allclose(best_v, v_min, rtol=0.0, atol=1e-9):
-        raise RuntimeError("no single policy attained the pointwise minimum")
-    policy = best_bits.astype(np.int8).reshape(params.grid_shape)
-    return v_min.reshape(params.grid_shape), policy

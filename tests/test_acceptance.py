@@ -22,14 +22,14 @@ import pytest
 
 from aoi_isac import gridio
 from aoi_isac.cli import main
-from aoi_isac.model import (Action, ModelParams, Outcome, delta, delta_grid,
-                            q_grids, stage_cost, transition)
+from aoi_isac.model import Action, ModelParams, delta_grid, q_grids, stage_cost
 from aoi_isac.sim import baseline_policy, estimate_value, rollout
-from aoi_isac.solver import (exhaustive_policy_oracle, extract_thresholds,
-                             policy_iteration, value_iteration)
+from aoi_isac.solver import extract_thresholds, value_iteration
 from aoi_isac.structure import (check_delta_monotone, check_monotone,
                                 check_q_submodular, check_single_crossing,
                                 check_submodular, check_threshold_monotone)
+from reference import (Outcome, delta, exhaustive_policy_oracle,
+                       policy_iteration, transition)
 
 IV = dict(lambda_s=0.6, lambda_c=0.9, c_s=0.2, c_c=0.1, gamma=0.95)
 REFERENCE = ModelParams(**IV, a_max=30)

@@ -11,8 +11,9 @@ from aoi_isac import cli, gridio, sim
 from aoi_isac.cli import SWEEP_AXES, _build_parser, main
 from aoi_isac.config import RunConfig
 from aoi_isac.model import ModelParams
-from aoi_isac.solver import exhaustive_policy_oracle, value_iteration
+from aoi_isac.solver import value_iteration
 from aoi_isac.structure import CHECK_NAMES, run_all_checks
+from reference import exhaustive_policy_oracle
 
 IV = dict(lambda_s=0.6, lambda_c=0.9, c_s=0.2, c_c=0.1, gamma=0.95)
 
@@ -357,6 +358,7 @@ def test_simulate_policy_file_wrong_shape(tmp_path, capsys):
     rc = run(tmp_path, "simulate", "--policy-file", str(path), *small_flags(a_max=8))
     assert rc == 2
     assert "a_max" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, flag", [("solve", "--config"),
@@ -518,9 +520,12 @@ def test_simulate_optimal_that_does_not_converge_exits_3(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_sweep_exits_3_on_unconverged_values_and_2_on_rejected_ones(tmp_path):
+def test_sweep_exits_3_on_unconverged_values_and_2_on_rejected_ones(tmp_path,
+                                                                   capsys):
     assert run(tmp_path, "sweep", "--axis", "c_c", "--values", "0.1,0.2",
                *small_flags(), "--solver.max_iter", "3") == 3
+    assert capsys.readouterr().out == ("sweep: c_c=0.1: not_converged\n"
+                                       "sweep: c_c=0.2: not_converged\n")
     rows = json.loads(read_bytes(tmp_path, "sweep_report.json"))["rows"]
     assert rows == [{"value": 0.1, "status": "not_converged"},
                     {"value": 0.2, "status": "not_converged"}]
@@ -532,6 +537,7 @@ def test_sweep_exits_3_on_unconverged_values_and_2_on_rejected_ones(tmp_path):
                *small_flags(), "--solver.max_iter", "3") == 2
     rows = json.loads(read_bytes(tmp_path, "sweep_report.json"))["rows"]
     assert [r["status"] for r in rows] == ["not_converged", "rejected"]
+    assert capsys.readouterr().out == "sweep: c_c=0.1: not_converged\n"
 
 
 @pytest.mark.parametrize("argv, work", [

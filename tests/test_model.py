@@ -5,10 +5,10 @@ import itertools
 import numpy as np
 import pytest
 
-from aoi_isac.model import (Action, ModelParams, Outcome, _backup_tables, delta,
-                            delta_grid, dynamics, q_grids, q_value, stage_cost,
-                            transition)
+from aoi_isac.model import (Action, ModelParams, _backup_tables, delta_grid,
+                            dynamics, q_grids, stage_cost)
 from aoi_isac.solver import bellman_backup
+from reference import Outcome, delta, q_value, transition
 
 IV = dict(lambda_s=0.6, lambda_c=0.9, c_s=0.2, c_c=0.1, gamma=0.95)
 

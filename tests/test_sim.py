@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from aoi_isac import sim
-from aoi_isac.model import Action, ModelParams, stage_cost, transition
+from aoi_isac.model import Action, ModelParams, stage_cost
 from aoi_isac.sim import (_PCG64Lanes, baseline_policy, estimate_value,
                           rollout, trajectory_csv_lines, truncation_bias_bound)
 from aoi_isac.solver import value_iteration
+from reference import transition
 
 IV = dict(lambda_s=0.6, lambda_c=0.9, c_s=0.2, c_c=0.1, gamma=0.95)
 

@@ -7,12 +7,12 @@ import numpy as np
 import pytest
 
 from aoi_isac import solver
-from aoi_isac.model import Action, ModelParams, delta_grid, dynamics, q_value
+from aoi_isac.model import Action, ModelParams, delta_grid, dynamics
 from aoi_isac.solver import (_NEGLIGIBLE_WEIGHT, _fail_successor, _improve,
-                             _linear_systems, bellman_backup, evaluate_policy,
-                             exhaustive_policy_oracle, extract_policy,
-                             extract_thresholds, policy_iteration, solve,
-                             value_iteration)
+                             bellman_backup, evaluate_policy, extract_policy,
+                             extract_thresholds, solve, value_iteration)
+from reference import (_linear_systems, exhaustive_policy_oracle,
+                       policy_iteration, q_value)
 
 IV = dict(lambda_s=0.6, lambda_c=0.9, c_s=0.2, c_c=0.1, gamma=0.95)
 
