@@ -18,13 +18,15 @@
 # --solver.max_iter=5 (exit 3, partial artifacts). Then `solve` and `verify`
 # at the edges of the backup's per-action constants (a_max=30): gamma=0 (two
 # sweeps), lambda_s=1 lambda_c=0 (success probabilities 1 and 0, the
-# reversed ordering) and c_s=0 c_c=0. Each command's exit code is appended
-# to exit_codes.txt in the compared tree. Exits 0 when every artifact and
-# exit code is identical, 1 when one differs.
+# reversed ordering) and c_s=0 c_c=0. A leg on the policy reader's general
+# path copies the reference solve with one policy.csv row rewritten as "+1"
+# and " 0" cells, and runs `simulate --policy-file` and `verify` on it. Each
+# command's exit code is appended to exit_codes.txt in the compared tree.
+# Exits 0 when every artifact and exit code is identical, 1 when one differs.
 set -euo pipefail
 
 if [ $# -ne 3 ]; then
-    sed -n '2,23p' "$0" >&2
+    sed -n '2,25p' "$0" >&2
     exit 2
 fi
 base=$(cd "$1" && pwd)
@@ -70,6 +72,17 @@ run_side() {
             aoi sweep --axis=c_c --values="$sweep_values" "${common[@]}" \
                 --output.directory="$workload/sweep"
         done
+        # the policy reader's general path: the reference solve with row 5
+        # of policy.csv rewritten as "+1" and " 0" cells, which int() reads
+        mkdir -p edges/signed_cells
+        cp reference/solve/value.csv edges/signed_cells/
+        sed '/^5,/{s/,1/,+1/g;s/,0/, 0/g}' reference/solve/policy.csv \
+            > edges/signed_cells/policy.csv
+        reference=("${model[@]}" --model.gamma=0.95 --model.a_max=30
+                   --sim.n=10000 --sim.horizon=400 --sim.s0=1,1)
+        aoi simulate --policy-file=edges/signed_cells/policy.csv "${reference[@]}" \
+            --sim.seed=1 --output.directory=edges/signed_cells_simulate
+        aoi verify "${reference[@]}" --output.directory=edges/signed_cells
         aoi solve "${model[@]}" --model.gamma=0.95 --model.a_max=2 \
             --output.directory=edges/a_max_2
         aoi verify "${model[@]}" --model.gamma=0.95 --model.a_max=2 \

@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -323,7 +324,11 @@ def main(argv=None) -> int:
         if args.command == "simulate":
             return cmd_simulate(cfg, args.policy, args.policy_file)
         if args.command == "sweep":
-            values = [float(v) for v in args.values.split(",")]
+            values = []
+            for entry in args.values.split(","):
+                values.append(float(entry))
+                if not math.isfinite(values[-1]):
+                    raise ValueError(f"--values entry {entry!r} is not finite")
             return cmd_sweep(cfg, args.axis, values)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

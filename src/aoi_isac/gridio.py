@@ -15,11 +15,25 @@ numpy call, which reads every cell as float() or int() does; so an error
 names the first malformed line in file order. A row at a time, not the
 whole grid in one call: that would hold every cell's string at once, about
 5 MB more at a_max=300.
+
+A policy grid, whose cells are all 0 or 1, goes as bytes both ways: the
+writer fills an (n, 2n) uint8 array of commas and digits and decodes it a
+row at a time, and the integer reader takes a line that is exactly its row
+index and n cells of "0" or "1" between commas with np.frombuffer. Any
+other integer grid or line goes through the '%d' format or int() as above,
+so "+1", " 0" or "1_0" cells and every line-numbered error are unchanged.
+
+JSON reports are json.dumps(obj, indent=2, sort_keys=True) byte for byte,
+but that call always runs json's pure-Python encoder. write_json recurses
+over dicts and mixed lists itself and hands each list or dict of scalars,
+and each list of rows of scalars, to the C encoder in one call, with the
+line break and indent as its item separator.
 """
 
 from __future__ import annotations
 
 import json
+from itertools import chain
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +41,11 @@ import numpy as np
 CORNER = "alpha_s\\alpha_b"
 # decision-map glyphs, indexed by "is comm": b"S" for sense, b"C" otherwise
 GLYPHS = np.frombuffer(b"SC", dtype=np.uint8)
+# Values json's C encoder writes as its pure-Python (indent) encoder does,
+# decided by exact type: a subclass such as IntEnum or np.float64 takes the
+# pure-Python encoder.
+_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
+_JSON_LISTS = frozenset({list, tuple})
 
 
 def fmt_real(x: float) -> str:
@@ -47,7 +66,43 @@ def read_text(path) -> str:
 
 
 def write_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Write json.dumps(obj, indent=2, sort_keys=True) plus a newline."""
+    Path(path).write_text(_json_text(obj, "\n") + "\n")
+
+
+def _json_text(obj, nl: str) -> str:
+    """json.dumps(obj, indent=2, sort_keys=True) for a value nested where
+    each line break is followed by nl's indent."""
+    kind = type(obj)
+    if kind in _JSON_LISTS and obj:
+        values = obj
+    elif kind is dict and obj and set(map(type, obj)) == {str}:
+        values = obj.values()
+    elif kind in _JSON_SCALARS:
+        return json.dumps(obj)
+    else:  # empty, a subclass, or keys that are not str
+        return json.dumps(obj, indent=2, sort_keys=True).replace("\n", nl)
+    inner = nl + "  "
+    types = set(map(type, values))
+    if types <= _JSON_SCALARS:
+        # one C-encoder call; ensure_ascii escapes every newline in a
+        # string, so each newline it writes is a separator
+        text = json.dumps(obj, separators=("," + inner, ": "), sort_keys=True)
+        return text[0] + inner + text[1:-1] + nl + text[-1]
+    if kind is dict:
+        items = [json.dumps(k) + ": " + _json_text(obj[k], inner)
+                 for k in sorted(obj)]
+        return "{" + inner + ("," + inner).join(items) + nl + "}"
+    if (types <= _JSON_LISTS and all(obj)
+            and set(map(type, chain.from_iterable(obj))) <= _JSON_SCALARS):
+        # rows of scalars in one call, at the rows' indent; then each row
+        # boundary "],<cell>[" is moved out to the list's own indent
+        cell = inner + "  "
+        body = json.dumps(obj, separators=("," + cell, ": "))[2:-2]
+        body = body.replace("]," + cell + "[", inner + "]," + inner + "[" + cell)
+        return "[" + inner + "[" + cell + body + inner + "]" + nl + "]"
+    items = [_json_text(v, inner) for v in obj]
+    return "[" + inner + ("," + inner).join(items) + nl + "]"
 
 
 def grid_csv_text(grid: np.ndarray, comments: list[str] = (),
@@ -56,12 +111,19 @@ def grid_csv_text(grid: np.ndarray, comments: list[str] = (),
     n = grid.shape[0]
     if grid.shape != (n, n):
         raise ValueError(f"grid must be square, got shape {grid.shape}")
-    # one precomposed format per row; "%.17g" prints a float as fmt_real does
-    # and "%d" an integer-valued cell as str(int(v)) does
-    row_fmt = ",".join(["%d"] + ["%d" if integer else "%.17g"] * n)
     lines = [f"# {c}" for c in comments]
     lines.append(",".join([CORNER] + [str(j) for j in range(n)]))
-    lines += [row_fmt % (i, *row) for i, row in enumerate(grid.tolist())]
+    if integer and ((grid == 0) | (grid == 1)).all():
+        # a 0/1 grid as bytes: each row's cells are "," and "0" or "1"
+        body = np.full((n, 2 * n), ord(","), dtype=np.uint8)
+        body[:, 1::2] = ord("0") + (grid != 0)
+        lines += [str(i) + row.tobytes().decode("ascii")
+                  for i, row in enumerate(body)]
+    else:
+        # one precomposed format per row; "%.17g" prints a float as fmt_real
+        # does and "%d" an integer-valued cell as str(int(v)) does
+        row_fmt = ",".join(["%d"] + ["%d" if integer else "%.17g"] * n)
+        lines += [row_fmt % (i, *row) for i, row in enumerate(grid.tolist())]
     return "\n".join(lines) + "\n"
 
 
@@ -88,6 +150,7 @@ def _read_grid(path: Path, integer: bool):
     rows = []
     linenos = []
     expected_cols = None
+    commas = None  # an integer grid's commas between its cells, once known
     row_index = 0
     for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.strip()
@@ -96,27 +159,32 @@ def _read_grid(path: Path, integer: bool):
         if line.startswith("#"):
             comments.append(line[1:].strip())
             continue
-        cells = line.split(",")
-        if expected_cols is None:  # header row
-            if cells[0] != CORNER:
-                raise ValueError(f"{path}:{lineno}: expected header starting "
-                                 f"with {CORNER!r}, got {cells[0]!r}")
-            expected_cols = len(cells) - 1
-            if cells[1:] != [str(j) for j in range(expected_cols)]:
-                raise ValueError(f"{path}:{lineno}: expected column labels "
-                                 f"0..{expected_cols - 1}, got "
-                                 f"{','.join(cells[1:])!r}")
-            continue
-        if len(cells) != expected_cols + 1:
-            raise ValueError(f"{path}:{lineno}: expected {expected_cols + 1} "
-                             f"cells, got {len(cells)}")
-        if cells[0] != str(row_index):
-            raise ValueError(f"{path}:{lineno}: expected row index "
-                             f"{row_index}, got {cells[0]!r}")
-        try:
-            rows.append(np.array(cells[1:], dtype=dtype))
-        except (ValueError, OverflowError) as exc:
-            raise ValueError(f"{path}:{lineno}: bad cell value ({exc})") from None
+        row = None if commas is None else _zero_one_row(line, row_index, commas)
+        if row is None:
+            cells = line.split(",")
+            if expected_cols is None:  # header row
+                if cells[0] != CORNER:
+                    raise ValueError(f"{path}:{lineno}: expected header starting "
+                                     f"with {CORNER!r}, got {cells[0]!r}")
+                expected_cols = len(cells) - 1
+                if cells[1:] != [str(j) for j in range(expected_cols)]:
+                    raise ValueError(f"{path}:{lineno}: expected column labels "
+                                     f"0..{expected_cols - 1}, got "
+                                     f"{','.join(cells[1:])!r}")
+                if integer and expected_cols:
+                    commas = "," * (expected_cols - 1)
+                continue
+            if len(cells) != expected_cols + 1:
+                raise ValueError(f"{path}:{lineno}: expected {expected_cols + 1} "
+                                 f"cells, got {len(cells)}")
+            if cells[0] != str(row_index):
+                raise ValueError(f"{path}:{lineno}: expected row index "
+                                 f"{row_index}, got {cells[0]!r}")
+            try:
+                row = np.array(cells[1:], dtype=dtype)
+            except (ValueError, OverflowError) as exc:
+                raise ValueError(f"{path}:{lineno}: bad cell value ({exc})") from None
+        rows.append(row)
         linenos.append(lineno)
         row_index += 1
     if expected_cols is None:
@@ -129,6 +197,17 @@ def _read_grid(path: Path, integer: bool):
         raise ValueError(f"{path}:{linenos[i]}: non-finite cell value "
                          f"{grid[i, j]} in column {j}")
     return grid, comments, linenos
+
+
+def _zero_one_row(line: str, row_index: int, commas: str) -> np.ndarray | None:
+    """The cells of a data line that reads row_index and then 0/1 cells
+    between the given commas, as uint8; None for any other line, which the
+    caller reads cell by cell."""
+    head, _, rest = line.partition(",")
+    if (head == str(row_index) and len(rest) == 2 * len(commas) + 1
+            and rest[1::2] == commas and not rest[::2].strip("01")):
+        return np.frombuffer(rest[::2].encode("ascii"), np.uint8) - ord("0")
+    return None
 
 
 def read_policy_csv(path) -> tuple[np.ndarray, list[str]]:

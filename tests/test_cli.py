@@ -455,6 +455,21 @@ def test_sweep_rejects_out_of_range_value(tmp_path, capsys):
     assert statuses[0.3] != "rejected"
 
 
+@pytest.mark.parametrize("values, entry", [
+    ("nan,0.1,inf", "nan"), ("0.1,inf", "inf"), ("0.1,-Infinity", "-Infinity"),
+    ("1e400", "1e400"),
+])
+def test_sweep_rejects_a_non_finite_value_before_any_work(tmp_path, capsys,
+                                                          values, entry):
+    # sweep_report.json would hold a bare NaN or Infinity, which is not JSON
+    assert run(tmp_path, "sweep", "--axis", "c_c", "--values", values,
+               *small_flags()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --values entry {entry!r} is not finite\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_unknown_axis(tmp_path, capsys):
     assert run(tmp_path, "sweep", "--axis", "a_max", "--values", "4") == 2
     assert "axis" in capsys.readouterr().err

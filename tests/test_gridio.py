@@ -1,16 +1,21 @@
 """Grid writers and readers against per-cell reference implementations.
 
 The writers format a row at a time and the readers convert each line's
-cells in one numpy call. The references below format and parse one cell at
-a time with fmt_real, str(int(v)), float() and int(); the fast paths must
-give the same bytes, accept and reject the same cells, and name the same
-lines.
+cells in one numpy call, or a 0/1 policy row as bytes. The references below
+format and parse one cell at a time with fmt_real, str(int(v)), float() and
+int(); the fast paths must give the same bytes, accept and reject the same
+cells, and name the same lines. The JSON writer's reference is
+json.dumps(obj, indent=2, sort_keys=True).
 """
+
+import enum
+import json
+import random
 
 import numpy as np
 import pytest
 
-from aoi_isac import gridio
+from aoi_isac import cli, gridio
 
 SPECIAL = [-0.0, 5e-324, 0.1, 1e17, 1e300, -1e300, 1 / 3, 2.0**53 + 2, -7.0]
 
@@ -243,3 +248,175 @@ def test_reader_requires_column_labels_0_to_n_minus_1(tmp_path, header):
     lines[2] = header
     with pytest.raises(ValueError, match="g.csv:3: expected column labels 0..2"):
         gridio.read_grid_csv(write(tmp_path, lines), integer=True)
+
+
+def zero_one_grids():
+    comm = np.random.default_rng(9).random((6, 6)) < 0.5
+    return {
+        "int8": comm.astype(np.int8),
+        "int64": comm.astype(np.int64),
+        "bool": comm,
+        "float_negative_zero": np.where(comm, 1.0, -0.0),
+        "one_cell": np.ones((1, 1), dtype=np.int64),
+        # near misses, written through "%d"
+        "float_half": np.where(comm, 1.0, 0.5),
+        "int64_two": comm + 1,
+    }
+
+
+@pytest.mark.parametrize("name", list(zero_one_grids()))
+def test_zero_one_csv_matches_per_cell_formatting(name):
+    grid = zero_one_grids()[name]
+    assert (gridio.grid_csv_text(grid, ["c"], integer=True)
+            == csv_per_cell(grid, ["c"], integer=True))
+
+
+def policy_per_cell(path):
+    """read_policy_csv one cell at a time, with int(); raises ValueError whose
+    text starts as read_policy_csv's does: the path, and the line if any."""
+    rows, linenos, n = [], [], None
+    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        cells = line.split(",")
+        if n is None:  # the header, intact in every case below
+            n = len(cells) - 1
+            continue
+        if len(cells) != n + 1 or cells[0] != str(len(rows)):
+            raise ValueError(f"{path}:{lineno}: ")
+        try:
+            rows.append([int(c) for c in cells[1:]])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: ") from None
+        linenos.append(lineno)
+    if len(rows) != n:
+        raise ValueError(f"{path}: expected {n} data rows, got {len(rows)}")
+    for lineno, row in zip(linenos, rows):
+        if any(v not in (0, 1) for v in row):
+            raise ValueError(f"{path}:{lineno}: ")
+    return np.array(rows, dtype=np.int8)
+
+
+NEAR_MISSES = {
+    **{f"cell {c!r}": (lambda c: lambda cells, j: cells.__setitem__(j, c))(c)
+       for c in ["+1", " 1", "1_0", "01", "-0", "١", "2", ""]},
+    "trailing comma": lambda cells, j: cells.append(""),
+    "wrong row index": lambda cells, j: cells.__setitem__(0, str(int(cells[0]) + 1)),
+}
+
+
+@pytest.mark.parametrize("name", [*NEAR_MISSES, "row past the last"])
+def test_policy_reader_matches_per_cell_reader_on_near_misses(tmp_path, name):
+    """The 0/1 byte path takes only lines the per-cell reader reads the same;
+    every other line falls through to it, so grid or error are the same."""
+    n = 5
+    policy = np.random.default_rng(3).integers(0, 2, size=(n, n))
+    lines = gridio.grid_csv_text(policy, ["c"], integer=True).splitlines()
+    first = 2  # one comment line and the header come first
+    cases = []
+    if name == "row past the last":
+        cases.append(lines + [",".join([str(n)] + ["0"] * n)])
+    else:
+        for row in (0, 2, n - 1):
+            for j in (1, 3, n):
+                edited = list(lines)
+                cells = edited[first + row].split(",")
+                NEAR_MISSES[name](cells, j)
+                edited[first + row] = ",".join(cells)
+                cases.append(edited)
+    for edited in cases:
+        path = write(tmp_path, edited)
+        try:
+            want = policy_per_cell(path)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as got:
+                gridio.read_policy_csv(path)
+            assert str(got.value).startswith(str(exc))
+        else:
+            grid, comments = gridio.read_policy_csv(path)
+            assert grid.dtype == np.int8 and np.array_equal(grid, want)
+            assert comments == ["c"]
+    # and the unedited grid
+    grid, _ = gridio.read_policy_csv(write(tmp_path, lines))
+    assert np.array_equal(grid, policy)
+
+
+class Code(enum.IntEnum):
+    SENSE = 0
+    COMM = 1
+
+
+FUZZ_STRINGS = ["", "a", "],\n  [", "],\n    [", '"quoted"', "back\\slash",
+                "\x00\x01\x1f\x7f", "tab\tcr\rlf\n", "naïve", "日本", " ",
+                "\U0001f600", "\ud800"]
+FUZZ_NUMBERS = [0, -1, 7, 2**63, -2**63 - 1, 2**100, 0.0, -0.0, 5e-324, 0.1,
+                1e300, -1e300, float("nan"), float("inf"), float("-inf")]
+FUZZ_OTHERS = [True, False, None, Code.COMM, np.float64(0.25),
+               np.float64("nan")]
+
+
+def fuzz_scalar(rnd):
+    return rnd.choice(rnd.choice([FUZZ_STRINGS, FUZZ_NUMBERS, FUZZ_OTHERS]))
+
+
+def fuzz_value(rnd, depth=0):
+    """A random nested value: every path of write_json, and every kind of
+    value that json.dumps writes."""
+    size = rnd.choice([0, 1, 1, 2, 3, 5])
+    seq = rnd.choice([list, list, tuple])
+    kind = rnd.randrange(7) if depth < 4 else 0
+    if kind == 0:
+        return fuzz_scalar(rnd)
+    if kind == 1:   # scalars only
+        return seq(fuzz_scalar(rnd) for _ in range(size))
+    if kind == 2:   # rows of scalars, now and then an empty one
+        return seq(rnd.choice([list, tuple])(fuzz_scalar(rnd)
+                                             for _ in range(rnd.choice([0, 1, 2, 4])))
+                   for _ in range(size))
+    if kind == 3:
+        return seq(fuzz_value(rnd, depth + 1) for _ in range(size))
+    if kind == 4:   # str keys
+        return {rnd.choice(FUZZ_STRINGS) + str(i): fuzz_value(rnd, depth + 1)
+                for i in range(size)}
+    if kind == 5:   # str keys, scalar values
+        return {rnd.choice(FUZZ_STRINGS) + str(i): fuzz_scalar(rnd)
+                for i in range(size)}
+    # keys that are not str but sort among themselves
+    keys = ([None] if rnd.random() < 0.2 else
+            [rnd.choice([True, False, 3, -2**70, 0.5, -0.0, 1e300])
+             for _ in range(size)])
+    return {k: fuzz_value(rnd, depth + 1) for k in keys}
+
+
+def test_write_json_is_json_dumps_indent_2_on_fuzzed_objects(tmp_path):
+    rnd = random.Random(20261019)
+    path = tmp_path / "r.json"
+    for _ in range(5000):
+        obj = fuzz_value(rnd)
+        gridio.write_json(path, obj)
+        want = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        assert path.read_text() == want, obj
+
+
+def test_reports_are_json_dumps_indent_2_byte_for_byte(tmp_path, monkeypatch):
+    written = {}
+    write_json = gridio.write_json
+
+    def recording(path, obj):
+        write_json(path, obj)
+        written[path.name] = path, obj
+
+    monkeypatch.setattr(gridio, "write_json", recording)
+    flags = ["--model.a_max", "8", "--sim.n", "50", "--sim.horizon", "40",
+             "--output.directory", str(tmp_path)]
+    for argv in (["solve"], ["verify"], ["simulate"],
+                 ["sweep", "--axis", "c_c", "--values", "0.1,0.2"]):
+        cli.main([*argv, *flags])
+    assert sorted(written) == ["simulate_report.json", "solve_report.json",
+                               "sweep_report.json", "verify_report.json"]
+    assert any(check["violations"]
+               for check in written["verify_report.json"][1]["checks"])
+    for path, obj in written.values():
+        want = json.dumps(obj, indent=2, sort_keys=True) + "\n"
+        assert path.read_bytes() == want.encode()
