@@ -18,7 +18,9 @@
 # --solver.max_iter=5 (exit 3, partial artifacts). Then `solve` and `verify`
 # at the edges of the backup's per-action constants (a_max=30): gamma=0 (two
 # sweeps), lambda_s=1 lambda_c=0 (success probabilities 1 and 0, the
-# reversed ordering) and c_s=0 c_c=0. A leg on the policy reader's general
+# reversed ordering), lambda_s=0 lambda_c=1 and c_s=0 c_c=0; at the two
+# link edges `simulate` (seed 1) also runs under the optimal, alternate and
+# random_bernoulli:0.3 policies. A leg on the policy reader's general
 # path copies the reference solve with one policy.csv row rewritten as "+1"
 # and " 0" cells, and runs `simulate --policy-file` and `verify` on it. Each
 # command's exit code is appended to exit_codes.txt in the compared tree.
@@ -26,7 +28,7 @@
 set -euo pipefail
 
 if [ $# -ne 3 ]; then
-    sed -n '2,25p' "$0" >&2
+    sed -n '2,27p' "$0" >&2
     exit 2
 fi
 base=$(cd "$1" && pwd)
@@ -93,7 +95,8 @@ run_side() {
             --model.gamma=0.95 --model.a_max=30 --output.directory=edges/sweep_gamma
         aoi solve "${model[@]}" --model.gamma=0.95 --model.a_max=30 \
             --solver.max_iter=5 --output.directory=edges/max_iter_5
-        for edge in gamma=0 lambda_s=1,lambda_c=0 c_s=0,c_c=0; do
+        for edge in gamma=0 lambda_s=1,lambda_c=0 lambda_s=0,lambda_c=1 \
+                    c_s=0,c_c=0; do
             local flags=()
             IFS=, read -ra pairs <<< "$edge"
             for kv in "${pairs[@]}"; do flags+=("--model.$kv"); done
@@ -101,6 +104,14 @@ run_side() {
                 "${flags[@]}" --output.directory="edges/$edge"
             aoi verify "${model[@]}" --model.gamma=0.95 --model.a_max=30 \
                 "${flags[@]}" --output.directory="edges/$edge"
+            case $edge in
+                lambda_*)
+                    for policy in optimal alternate random_bernoulli:0.3; do
+                        aoi simulate --policy="$policy" "${reference[@]}" \
+                            "${flags[@]}" --sim.seed=1 \
+                            --output.directory="edges/$edge-${policy/:/_}"
+                    done ;;
+            esac
         done
     )
 }

@@ -188,6 +188,15 @@ def cmd_verify(cfg: RunConfig) -> int:
     return EXIT_OK if all_passed else EXIT_CHECK_FAILED
 
 
+def _number(text: str, name: str) -> float:
+    """float(text), or a ValueError that names the flag entry (name) that
+    text came from."""
+    try:
+        return float(text)
+    except ValueError:
+        raise ValueError(f"{name} is not a number") from None
+
+
 def _resolve_policy(cfg: RunConfig, source: str, policy_file: str | None):
     """Returns (policy, label, v_star or None). v_star is only available for
     the optimal policy, where the solve happens anyway. A policy file's grid
@@ -202,7 +211,8 @@ def _resolve_policy(cfg: RunConfig, source: str, policy_file: str | None):
             raise RuntimeError("solve for the optimal policy did not converge")
         return policy, "optimal", V
     if source.startswith("random_bernoulli:"):
-        p = float(source.split(":", 1)[1])
+        text = source.split(":", 1)[1]
+        p = _number(text, f"--policy {source!r}: p {text!r}")
         return sim.baseline_policy("random_bernoulli", cfg.model, p=p), source, None
     return sim.baseline_policy(source, cfg.model), source, None
 
@@ -326,7 +336,7 @@ def main(argv=None) -> int:
         if args.command == "sweep":
             values = []
             for entry in args.values.split(","):
-                values.append(float(entry))
+                values.append(_number(entry, f"--values entry {entry!r}"))
                 if not math.isfinite(values[-1]):
                     raise ValueError(f"--values entry {entry!r} is not finite")
             return cmd_sweep(cfg, args.axis, values)

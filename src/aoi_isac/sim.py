@@ -35,10 +35,17 @@ numpy's notes on seeding parallel streams through spawned SeedSequences:
 https://numpy.org/doc/stable/reference/random/parallel.html. The tests
 compare sampled lanes with numpy's own ``default_rng(SeedSequence(...))``.
 
-All trajectories run in lockstep through flat per-state tables built once
-from ``model.dynamics`` over the ages the run can reach, so a slot costs a
-few gathers and one compare on arrays, and no trajectory's uniforms are
-stored beyond the current slot.
+All trajectories run in lockstep through flat tables built once from
+``model.dynamics`` over the ages the run can reach. A trajectory is held as
+its key 2 x + a, the flat state x with the action a it plays there, and the
+tables are indexed by the key: the stage cost, the success threshold, and
+the next key after each outcome. Under a grid policy the next key already
+carries the next state's action; a per-slot policy adds its action each
+slot. The outcome is decided on the integers: a success is the 53-bit draw
+r below ceil(p 2^53), which is exactly ``Generator.random``'s r * 2^-53 < p
+(``_success_threshold``). So a slot is three gathers (threshold, stage cost,
+next key), one compare and the cost update, and no draw is stored beyond
+the current slot.
 
 Policies are either stationary grids (int array indexed [alpha_s, alpha_b])
 or per-slot objects whose ``actions(slot, u)`` gives the slot's action from
@@ -56,8 +63,9 @@ import numpy as np
 from .model import Action, ModelParams, State, dynamics, stage_cost
 
 _OUTCOME_STREAM, _ACTION_STREAM = 0, 1
-# trajectories run together; bounds the working memory (about 200 bytes a
-# trajectory) whatever n is
+# trajectories run together; bounds the working memory whatever n is, at
+# about 200 bytes a trajectory: 64 for each generator (its state, increment
+# and four temporaries) and 57 for the loop's per-lane arrays
 _LANES_PER_BLOCK = 1 << 16
 
 # SeedSequence's hash constants and PCG64's 128-bit multiplier
@@ -234,26 +242,50 @@ class _PCG64Lanes:
         hi += self.inc_hi
         hi += lo < self.inc_lo
 
-    def random(self, out: np.ndarray) -> np.ndarray:
-        """Each lane's next uniform double in [0, 1), written to out."""
+    def bits53(self, out: np.ndarray) -> np.ndarray:
+        """Each lane's next 53-bit integer draw, written to out (uint64):
+        the XSL-RR output shifted right by 11."""
         self._step()
-        x, rot, t, _ = self._tmp
+        x, rot, _, _ = self._tmp
         np.bitwise_xor(self.hi, self.lo, out=x)
         np.right_shift(self.hi, 58, out=rot)
-        np.right_shift(x, rot, out=t)
+        np.right_shift(x, rot, out=out)
         np.subtract(64, rot, out=rot)
         rot &= 63
         x <<= rot
-        t |= x
-        t >>= 11
-        return np.multiply(t, 2.0 ** -53, out=out)
+        out |= x
+        out >>= 11
+        return out
+
+    def random(self, out: np.ndarray) -> np.ndarray:
+        """Each lane's next uniform double in [0, 1), written to out: the
+        53-bit draw times 2^-53, as ``Generator.random`` makes it."""
+        return np.multiply(self.bits53(self._tmp[2]), 2.0 ** -53, out=out)
 
 
-def _tables(params: ModelParams):
-    """Flat tables of the dynamics, for flat state x = alpha_s * n_ages +
-    alpha_b and action a: the successor after outcome o, indexed
-    [2 (2 x + a) + o], and the stage cost and the success probability,
-    indexed [2 x + a]."""
+def _success_threshold(p: float) -> int:
+    """ceil(p * 2^53), the bound under which a 53-bit draw r succeeds.
+
+    ``r < _success_threshold(p)`` holds exactly when ``u < p`` for the
+    uniform u = r * 2^-53 that ``Generator.random`` makes of r, for every
+    double p in [0, 1]: u is exact (r < 2^53), so u < p is r < p * 2^53,
+    where p * 2^53 is exact too (a scaling up by a power of two, which
+    rounds nothing and cannot overflow for p <= 1), and for an integer r,
+    r < x holds exactly when r < ceil(x).
+    """
+    return math.ceil(p * 2.0 ** 53)
+
+
+def _tables(params: ModelParams, grid: np.ndarray | None):
+    """Flat tables of the dynamics, indexed by the key 2 x + a of flat state
+    x = alpha_s * n_ages + alpha_b and action a: the stage cost and the
+    success threshold of the action (``_success_threshold``), indexed [key],
+    and the next key after outcome o, indexed [2 key + o].
+
+    With grid (the flat 0/1 action of each state) the next key carries the
+    next state's action; without it the next key is 2 x', and the caller
+    adds each slot's action.
+    """
     ages = np.arange(params.n_ages)
     succ, fail, cost = dynamics(ages[:, None], ages[None, :], params)
 
@@ -266,10 +298,19 @@ def _tables(params: ModelParams):
     def flat(state):
         return state[0] * params.n_ages + state[1]
 
-    return (interleave(np.intp, flat(fail), flat(succ[Action.SENSE]),
-                       flat(fail), flat(succ[Action.COMM])),
+    fail = flat(fail)
+    successor = interleave(np.intp, fail, flat(succ[Action.SENSE]),
+                           fail, flat(succ[Action.COMM]))
+    if grid is None:
+        successor <<= 1
+    else:
+        action = grid.take(successor)
+        successor <<= 1
+        successor += action
+    return (successor,
             interleave(float, cost[Action.SENSE], cost[Action.COMM]),
-            interleave(float, params.lambda_s, params.lambda_c))
+            interleave(np.uint64, _success_threshold(params.lambda_s),
+                       _success_threshold(params.lambda_c)))
 
 
 def check_policy_grid(policy: np.ndarray, params: ModelParams) -> None:
@@ -303,35 +344,39 @@ def _lockstep(policy, params: ModelParams, s0: State, horizon: int,
     if isinstance(policy, np.ndarray):
         check_policy_grid(policy, params)
         grid = (policy[:side, :side] == Action.COMM).astype(np.int8).ravel()
-    successor, stage, success_prob = _tables(reach)
+    successor, stage, threshold = _tables(reach, grid)
     outcome_rng = _PCG64Lanes(root, keys, _OUTCOME_STREAM)
     action_rng = (_PCG64Lanes(root, keys, _ACTION_STREAM)
                   if getattr(policy, "uses_action_stream", False) else None)
     n = 1 if keys is None else len(keys)
-    u_out, u_act, idx = np.empty(n), np.empty(n), np.empty(n, dtype=np.intp)
-    X = np.full(n, s0[0] * side + s0[1], dtype=np.intp)
+    x0 = s0[0] * side + s0[1]
+    key = np.full(n, 2 * x0 + (0 if grid is None else int(grid[x0])),
+                  dtype=np.intp)
+    r, thr = np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint64)
+    g, u_act = np.empty(n), np.empty(n)
+    success, idx = np.empty(n, dtype=bool), np.empty(n, dtype=np.intp)
     cost = np.zeros(n)
     gamma_pow = 1.0
-    xs = np.empty(horizon + 1, dtype=np.intp)
-    actions = np.empty(horizon, dtype=np.int8)
+    path = np.empty(horizon + 1, dtype=np.intp)  # trajectory 0's keys
     outcomes = np.empty(horizon, dtype=np.int8)
     for k in range(horizon):
-        if grid is not None:
-            A = grid[X]
-        else:
+        if grid is None:
             u = None if action_rng is None else action_rng.random(u_act)
-            A = np.broadcast_to(policy.actions(k, u), X.shape)
-        np.multiply(X, 2, out=idx)
-        idx += A
-        success = outcome_rng.random(u_out) < success_prob[idx]
-        cost += gamma_pow * stage[idx]
+            key += policy.actions(k, u)
+        # every key is in range, so "wrap" changes no index; unlike the
+        # default "raise", it does not buffer out
+        threshold.take(key, out=thr, mode="wrap")
+        np.less(outcome_rng.bits53(r), thr, out=success)
+        cost += np.multiply(stage.take(key, out=g, mode="wrap"), gamma_pow,
+                            out=g)
         gamma_pow *= params.gamma
-        xs[k], actions[k], outcomes[k] = X[0], A[0], success[0]
-        idx *= 2
+        path[k], outcomes[k] = key[0], success[0]
+        np.left_shift(key, 1, out=idx)
         idx += success
-        X = successor[idx]
-    xs[horizon] = X[0]
-    states = np.stack(np.divmod(xs, side), axis=1)
+        successor.take(idx, out=key, mode="wrap")
+    path[horizon] = key[0]
+    states = np.stack(np.divmod(path >> 1, side), axis=1)
+    actions = (path[:-1] & 1).astype(np.int8)
     return cost, Trajectory(states, actions, outcomes, float(cost[0]), horizon)
 
 

@@ -1,6 +1,7 @@
 """References the tests compare the package against: the scalar model, the
 dense linear systems built from it state by state, policy iteration from a
-cold start and exhaustive policy enumeration."""
+cold start, exhaustive policy enumeration and a scalar Monte Carlo
+trajectory."""
 
 from __future__ import annotations
 
@@ -10,6 +11,7 @@ from enum import IntEnum
 import numpy as np
 
 from aoi_isac.model import Action, ModelParams, State, stage_cost
+from aoi_isac.sim import AlternatingPolicy, RandomCommPolicy
 from aoi_isac.solver import _improve, extract_policy
 
 
@@ -123,3 +125,42 @@ def exhaustive_policy_oracle(params: ModelParams) -> tuple[np.ndarray, np.ndarra
         raise RuntimeError("no single policy attained the pointwise minimum")
     policy = best_bits.astype(np.int8).reshape(params.grid_shape)
     return v_min.reshape(params.grid_shape), policy
+
+
+def scalar_trajectory(policy, params: ModelParams, s0: State, horizon: int,
+                      seed: int, i: int):
+    """Trajectory i of ``estimate_value(policy, params, s0, n, horizon,
+    seed)`` for an int seed and any n > i, one slot at a time.
+
+    The outcomes come from numpy's own generator,
+    ``default_rng(SeedSequence(seed, spawn_key=(i, 0))).random(horizon)``,
+    and a ``RandomCommPolicy`` draws its actions from the same with
+    ``(i, 1)``. A slot succeeds when its uniform is below the action's
+    success probability; the state follows the scalar ``transition`` and
+    the cost adds ``gamma_pow * stage_cost``. policy is a 0/1 grid, an
+    ``AlternatingPolicy`` or a ``RandomCommPolicy``. Returns (states,
+    actions, outcomes, discounted cost).
+    """
+    def stream(which):
+        ss = np.random.SeedSequence(seed, spawn_key=(i, which))
+        return np.random.default_rng(ss).random(horizon)
+
+    u_out = stream(0)
+    u_act = stream(1) if isinstance(policy, RandomCommPolicy) else None
+    state, cost, gamma_pow = tuple(s0), 0.0, 1.0
+    states, actions, outcomes = [state], [], []
+    for k in range(horizon):
+        if isinstance(policy, np.ndarray):
+            a = int(policy[state])
+        elif isinstance(policy, AlternatingPolicy):
+            a = k % 2
+        else:
+            a = int(u_act[k] < policy.p)
+        o = int(u_out[k] < params.success_prob(a))
+        cost += gamma_pow * stage_cost(state, a, params)
+        gamma_pow *= params.gamma
+        state = transition(state, a, o, params)
+        states.append(state)
+        actions.append(a)
+        outcomes.append(o)
+    return np.array(states), np.array(actions), np.array(outcomes), cost

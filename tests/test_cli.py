@@ -470,6 +470,25 @@ def test_sweep_rejects_a_non_finite_value_before_any_work(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["sweep", "--axis", "c_c", "--values", "0.1,abc"],
+     "--values entry 'abc' is not a number"),
+    (["sweep", "--axis", "c_c", "--values", "0.1,"],
+     "--values entry '' is not a number"),
+    (["simulate", "--policy", "random_bernoulli:abc"],
+     "--policy 'random_bernoulli:abc': p 'abc' is not a number"),
+    (["simulate", "--policy", "random_bernoulli:"],
+     "--policy 'random_bernoulli:': p '' is not a number"),
+])
+def test_a_flag_entry_that_is_not_a_number_exits_2_naming_it(tmp_path, capsys,
+                                                              argv, message):
+    assert run(tmp_path, *argv, *small_flags()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_unknown_axis(tmp_path, capsys):
     assert run(tmp_path, "sweep", "--axis", "a_max", "--values", "4") == 2
     assert "axis" in capsys.readouterr().err

@@ -1,16 +1,18 @@
 """Simulation tests: deterministic rollouts, seeding discipline, estimators."""
 
+import itertools
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from aoi_isac import sim
-from aoi_isac.model import Action, ModelParams, stage_cost
+from aoi_isac import gridio, sim
+from aoi_isac.model import Action, ModelParams, dynamics, stage_cost
 from aoi_isac.sim import (_PCG64Lanes, baseline_policy, estimate_value,
                           rollout, trajectory_csv_lines, truncation_bias_bound)
-from aoi_isac.solver import value_iteration
-from reference import transition
+from aoi_isac.solver import solve, value_iteration
+from reference import scalar_trajectory, transition
 
 IV = dict(lambda_s=0.6, lambda_c=0.9, c_s=0.2, c_c=0.1, gamma=0.95)
 
@@ -308,3 +310,98 @@ def test_policy_grid_of_the_wrong_shape_is_rejected():
             estimate_value(grid, p, (1, 1), n=10, horizon=5, seed=0)
         with pytest.raises(ValueError, match="shape"):
             rollout(grid, p, (1, 1), horizon=5, seed=0)
+
+
+# success probabilities at the edges of the integer success test; from 0.5
+# up p * 2^53 is an integer, and 0.3 is a typical p below it that is not
+LAMBDA_EDGES = [0.0, 5e-324, 1e-300, 2.0 ** -53, 0.3, 0.5, 0.6, 1 - 2.0 ** -53,
+                1.0]
+
+
+def edge_draws(p):
+    """53-bit draws at and around the success threshold of p."""
+    f = math.floor(p * 2 ** 53)
+    return sorted({r for r in (0, 1, f - 1, f, f + 1, 2 ** 53 - 1)
+                   if 0 <= r < 2 ** 53})
+
+
+@pytest.mark.parametrize("p", LAMBDA_EDGES)
+def test_the_integer_success_test_is_exact_at_its_edges(p, monkeypatch):
+    draws = edge_draws(p)
+    # the uniform Generator.random makes of r, exactly, against p
+    expected = [r * 2.0 ** -53 < p for r in draws]
+    assert [r < sim._success_threshold(p) for r in draws] == expected
+    # the same through the simulator: lane j's draws are all draws[j], and
+    # from (5, 1) a comm success leads to (2, 2), a failure to (6, 2), so
+    # the second slot's stage cost shows the first slot's outcome
+    lanes = np.array(draws, dtype=np.uint64)
+    monkeypatch.setattr(_PCG64Lanes, "bits53",
+                        lambda self, out: np.copyto(out, lanes) or out)
+    params = make(a_max=10, lambda_c=p)
+    costs, _ = sim._lockstep(baseline_policy("always_comm", params), params,
+                             (5, 1), 2, np.random.SeedSequence(0),
+                             np.arange(len(draws)))
+    assert (costs < 5.1 + 0.95 * 4.1).tolist() == expected
+
+
+def policies_of_every_kind(params, tmp_path):
+    """The five named policies and a grid read back from a policy file."""
+    grid = np.random.default_rng(params.a_max).integers(
+        0, 2, params.grid_shape).astype(np.int8)
+    gridio.write_grid_csv(tmp_path / "policy.csv", grid, integer=True)
+    return {
+        "optimal": solve(params, tol=1e-9, max_iter=10_000)[1],
+        "always_sense": baseline_policy("always_sense", params),
+        "always_comm": baseline_policy("always_comm", params),
+        "alternate": baseline_policy("alternate", params),
+        "random_bernoulli": baseline_policy("random_bernoulli", params, p=0.3),
+        "policy_file": gridio.read_policy_csv(tmp_path / "policy.csv")[0],
+    }
+
+
+@pytest.mark.parametrize("lambdas", list(zip(LAMBDA_EDGES, LAMBDA_EDGES[3:]
+                                             + LAMBDA_EDGES[:3])))
+@pytest.mark.parametrize("a_max, s0, horizon", [
+    (12, (1, 1), 25),
+    (12, (12, 12), 25),  # the corner, where both ages saturate
+    (60, (3, 5), 20),  # the run reaches ages up to 25 only
+])
+def test_lockstep_equals_the_scalar_reference_bit_for_bit(tmp_path, lambdas,
+                                                          a_max, s0, horizon):
+    params = make(a_max=a_max, lambda_s=lambdas[0], lambda_c=lambdas[1])
+    n, seed = 12, 2 ** 40 + a_max
+    for name, policy in policies_of_every_kind(params, tmp_path).items():
+        costs, first = sim._lockstep(policy, params, s0, horizon,
+                                     np.random.SeedSequence(seed), np.arange(n))
+        for i in range(n):
+            states, actions, outcomes, cost = scalar_trajectory(
+                policy, params, s0, horizon, seed, i)
+            assert costs[i] == cost, (name, i)
+            if i == 0:
+                assert np.array_equal(first.states, states), name
+                assert np.array_equal(first.actions, actions), name
+                assert np.array_equal(first.outcomes, outcomes), name
+                assert first.discounted_cost == cost, name
+
+
+@pytest.mark.parametrize("a_max", [2, 3, 6])
+def test_key_tables_follow_the_dynamics_state_by_state(a_max):
+    params = make(a_max=a_max, lambda_s=5e-324, lambda_c=1 - 2.0 ** -53)
+    n = params.n_ages
+    grid = np.random.default_rng(a_max).integers(
+        0, 2, params.grid_shape).astype(np.int8)
+    for policy in (None, grid):
+        successor, stage, threshold = sim._tables(
+            params, None if policy is None else policy.ravel())
+        assert successor.shape == (4 * n * n,)
+        assert stage.shape == threshold.shape == (2 * n * n,)
+        assert threshold.dtype == np.uint64
+        for a_s, a_b, a in itertools.product(range(n), range(n), Action):
+            key = 2 * (a_s * n + a_b) + a
+            succ, fail, cost = dynamics(a_s, a_b, params)
+            assert stage[key] == cost[a]
+            assert threshold[key] == math.ceil(params.success_prob(a) * 2 ** 53)
+            for o, nxt in ((0, fail), (1, succ[a])):
+                nxt = (int(nxt[0]), int(nxt[1]))
+                action = 0 if policy is None else policy[nxt]
+                assert successor[2 * key + o] == 2 * (nxt[0] * n + nxt[1]) + action
