@@ -22,13 +22,16 @@
 # link edges `simulate` (seed 1) also runs under the optimal, alternate and
 # random_bernoulli:0.3 policies. A leg on the policy reader's general
 # path copies the reference solve with one policy.csv row rewritten as "+1"
-# and " 0" cells, and runs `simulate --policy-file` and `verify` on it. Each
-# command's exit code is appended to exit_codes.txt in the compared tree.
-# Exits 0 when every artifact and exit code is identical, 1 when one differs.
+# and " 0" cells, and runs `simulate --policy-file` and `verify` on it. A
+# leg at the action draw's threshold edges, 0 and 2^53, runs `simulate`
+# (seed 1, reference config) under random_bernoulli:0 and random_bernoulli:1.
+# Each command's exit code is appended to exit_codes.txt in the compared
+# tree. Exits 0 when every artifact and exit code is identical, 1 when one
+# differs.
 set -euo pipefail
 
 if [ $# -ne 3 ]; then
-    sed -n '2,27p' "$0" >&2
+    sed -n '2,30p' "$0" >&2
     exit 2
 fi
 base=$(cd "$1" && pwd)
@@ -85,6 +88,10 @@ run_side() {
         aoi simulate --policy-file=edges/signed_cells/policy.csv "${reference[@]}" \
             --sim.seed=1 --output.directory=edges/signed_cells_simulate
         aoi verify "${reference[@]}" --output.directory=edges/signed_cells
+        for policy in random_bernoulli:0 random_bernoulli:1; do
+            aoi simulate --policy="$policy" "${reference[@]}" --sim.seed=1 \
+                --output.directory="edges/${policy/:/_}"
+        done
         aoi solve "${model[@]}" --model.gamma=0.95 --model.a_max=2 \
             --output.directory=edges/a_max_2
         aoi verify "${model[@]}" --model.gamma=0.95 --model.a_max=2 \

@@ -210,11 +210,14 @@ def _resolve_policy(cfg: RunConfig, source: str, policy_file: str | None):
         if not report.converged:
             raise RuntimeError("solve for the optimal policy did not converge")
         return policy, "optimal", V
+    kind, p = source, None
     if source.startswith("random_bernoulli:"):
-        text = source.split(":", 1)[1]
+        kind, text = source.split(":", 1)
         p = _number(text, f"--policy {source!r}: p {text!r}")
-        return sim.baseline_policy("random_bernoulli", cfg.model, p=p), source, None
-    return sim.baseline_policy(source, cfg.model), source, None
+    try:
+        return sim.baseline_policy(kind, cfg.model, p=p), source, None
+    except ValueError as exc:
+        raise ValueError(f"--policy {source!r}: {exc}") from None
 
 
 def cmd_simulate(cfg: RunConfig, policy_source: str, policy_file: str | None) -> int:

@@ -39,17 +39,18 @@ All trajectories run in lockstep through flat tables built once from
 ``model.dynamics`` over the ages the run can reach. A trajectory is held as
 its key 2 x + a, the flat state x with the action a it plays there, and the
 tables are indexed by the key: the stage cost, the success threshold, and
-the next key after each outcome. Under a grid policy the next key already
-carries the next state's action; a per-slot policy adds its action each
-slot. The outcome is decided on the integers: a success is the 53-bit draw
-r below ceil(p 2^53), which is exactly ``Generator.random``'s r * 2^-53 < p
-(``_success_threshold``). So a slot is three gathers (threshold, stage cost,
-next key), one compare and the cost update, and no draw is stored beyond
-the current slot.
+the next key after each outcome. The next key already carries the action
+the policy plays next, so every policy runs through the same tables: a
+stationary grid (int array indexed [alpha_s, alpha_b]) carries the next
+state's action, ``AlternatingPolicy`` the other action 1 - a, and
+``RandomCommPolicy`` sense, to which each slot adds its drawn action.
 
-Policies are either stationary grids (int array indexed [alpha_s, alpha_b])
-or per-slot objects whose ``actions(slot, u)`` gives the slot's action from
-the slot index and the action stream alone, never from the ages.
+Draws are decided on the integers: an outcome succeeds, and
+``RandomCommPolicy(p)`` plays comm, when the slot's 53-bit draw r is below
+ceil(p 2^53), which is exactly ``Generator.random``'s r * 2^-53 < p
+(``_success_threshold``). So a slot is three gathers (threshold, stage cost,
+next key), one compare and the cost update, plus a draw, a compare and an
+add for a drawn action, and no draw is stored beyond the current slot.
 """
 
 from __future__ import annotations
@@ -64,8 +65,9 @@ from .model import Action, ModelParams, State, dynamics, stage_cost
 
 _OUTCOME_STREAM, _ACTION_STREAM = 0, 1
 # trajectories run together; bounds the working memory whatever n is, at
-# about 200 bytes a trajectory: 64 for each generator (its state, increment
-# and four temporaries) and 57 for the loop's per-lane arrays
+# about 210 bytes a trajectory: 80 for each generator (its state, increment,
+# the increment's low word split in halves and four temporaries) and 49 for
+# the loop's per-lane arrays
 _LANES_PER_BLOCK = 1 << 16
 
 # SeedSequence's hash constants and PCG64's 128-bit multiplier
@@ -78,35 +80,17 @@ _M_HI, _M_LO = _PCG_MULT >> 64, _PCG_MULT & (1 << 64) - 1
 
 
 class AlternatingPolicy:
-    """Sense on even slots, comm on odd slots, regardless of state.
-
-    ``actions(slot, u)`` returns the one action that every lane plays; u,
-    the action-stream uniforms, is not read.
-    """
-
-    uses_action_stream = False
-
-    def actions(self, slot, u=None):
-        return np.int8(slot % 2)
+    """Sense on even slots, comm on odd slots, regardless of state."""
 
 
 class RandomCommPolicy:
     """Comm with probability p each slot (drawn from the action stream),
-    sense otherwise, regardless of state.
-
-    ``actions(slot, u)`` returns one action per lane from u, the lanes'
-    action-stream uniforms for the slot.
-    """
-
-    uses_action_stream = True
+    sense otherwise, regardless of state."""
 
     def __init__(self, p: float):
         if not 0.0 <= p <= 1.0:
             raise ValueError(f"p must be in [0, 1], got {p}")
         self.p = p
-
-    def actions(self, slot, u):
-        return (u < self.p).astype(np.int8)
 
 
 @dataclass
@@ -132,8 +116,8 @@ class SimEstimate:
 
 def baseline_policy(kind: str, params: ModelParams, p: float | None = None):
     """Named comparison policies: 'always_sense' and 'always_comm' come back
-    as stationary grids, 'alternate' and 'random_bernoulli' as per-slot
-    policy objects ('random_bernoulli' needs p)."""
+    as stationary grids, 'alternate' and 'random_bernoulli' as the policy
+    objects that the simulator recognises ('random_bernoulli' needs p)."""
     if kind == "always_sense":
         return np.full(params.grid_shape, Action.SENSE, dtype=np.int8)
     if kind == "always_comm":
@@ -180,6 +164,7 @@ class _PCG64Lanes:
         s0, s1, s2, s3 = self._seed_state(root, words)
         self.inc_hi = s2 << 1 | s3 >> 63
         self.inc_lo = s3 << 1 | 1
+        self.inc_lo_halves = self.inc_lo & _MASK32, self.inc_lo >> 32
         self.hi = self.inc_hi + s0  # state 0 stepped once is inc; add initstate
         self.lo = self.inc_lo + s1
         self.hi += self.lo < s1
@@ -218,13 +203,17 @@ class _PCG64Lanes:
         """state = state * M + inc (mod 2^128), in place."""
         hi, lo = self.hi, self.lo
         a0, a1, t, u = self._tmp
-        # the high half of lo * M_LO, from 32-bit limbs; no sum exceeds 2^64
+        inc_lo_lo, inc_lo_hi = self.inc_lo_halves
+        # the high half of lo * M_LO + inc_lo, from 32-bit limbs, so that
+        # the carry out of the low half needs no compare; no sum exceeds 2^64
         np.bitwise_and(lo, _MASK32, out=a0)
         np.right_shift(lo, 32, out=a1)
         np.multiply(a0, _M_LO & _MASK32, out=t)
+        t += inc_lo_lo
         t >>= 32
         np.multiply(a1, _M_LO & _MASK32, out=u)
         u += t
+        u += inc_lo_hi
         np.bitwise_and(u, _MASK32, out=t)
         u >>= 32
         a0 *= _M_LO >> 32
@@ -240,7 +229,6 @@ class _PCG64Lanes:
         lo *= _M_LO
         lo += self.inc_lo
         hi += self.inc_hi
-        hi += lo < self.inc_lo
 
     def bits53(self, out: np.ndarray) -> np.ndarray:
         """Each lane's next 53-bit integer draw, written to out (uint64):
@@ -257,11 +245,6 @@ class _PCG64Lanes:
         out >>= 11
         return out
 
-    def random(self, out: np.ndarray) -> np.ndarray:
-        """Each lane's next uniform double in [0, 1), written to out: the
-        53-bit draw times 2^-53, as ``Generator.random`` makes it."""
-        return np.multiply(self.bits53(self._tmp[2]), 2.0 ** -53, out=out)
-
 
 def _success_threshold(p: float) -> int:
     """ceil(p * 2^53), the bound under which a 53-bit draw r succeeds.
@@ -276,15 +259,14 @@ def _success_threshold(p: float) -> int:
     return math.ceil(p * 2.0 ** 53)
 
 
-def _tables(params: ModelParams, grid: np.ndarray | None):
+def _tables(params: ModelParams, carry: np.ndarray):
     """Flat tables of the dynamics, indexed by the key 2 x + a of flat state
     x = alpha_s * n_ages + alpha_b and action a: the stage cost and the
     success threshold of the action (``_success_threshold``), indexed [key],
     and the next key after outcome o, indexed [2 key + o].
 
-    With grid (the flat 0/1 action of each state) the next key carries the
-    next state's action; without it the next key is 2 x', and the caller
-    adds each slot's action.
+    carry, indexed like the key, gives the action the policy plays next:
+    when action a leads to state x', the next key is 2 x' + carry[2 x' + a].
     """
     ages = np.arange(params.n_ages)
     succ, fail, cost = dynamics(ages[:, None], ages[None, :], params)
@@ -295,18 +277,19 @@ def _tables(params: ModelParams, grid: np.ndarray | None):
             out[..., i] = g
         return out.ravel()
 
-    def flat(state):
-        return state[0] * params.n_ages + state[1]
+    def key(state, a):
+        # each term is a row or a column; only the sum is grid-sized
+        return 2 * params.n_ages * state[0] + (2 * state[1] + a)
 
-    fail = flat(fail)
-    successor = interleave(np.intp, fail, flat(succ[Action.SENSE]),
-                           fail, flat(succ[Action.COMM]))
-    if grid is None:
-        successor <<= 1
-    else:
-        action = grid.take(successor)
-        successor <<= 1
-        successor += action
+    # each next state keyed with the action just played, whose bit is then
+    # replaced by the action carried there
+    successor = interleave(np.intp, key(fail, Action.SENSE),
+                           key(succ[Action.SENSE], Action.SENSE),
+                           key(fail, Action.COMM),
+                           key(succ[Action.COMM], Action.COMM))
+    action = carry.take(successor)
+    successor &= ~1
+    successor |= action
     return (successor,
             interleave(float, cost[Action.SENSE], cost[Action.COMM]),
             interleave(np.uint64, _success_threshold(params.lambda_s),
@@ -340,29 +323,38 @@ def _lockstep(policy, params: ModelParams, s0: State, horizon: int,
     reach = dataclasses.replace(params, a_max=min(params.a_max,
                                                   max(*s0, 2) + horizon))
     side = reach.n_ages
-    grid = None
+    action_rng = None
     if isinstance(policy, np.ndarray):
         check_policy_grid(policy, params)
-        grid = (policy[:side, :side] == Action.COMM).astype(np.int8).ravel()
-    successor, stage, threshold = _tables(reach, grid)
+        # the state's action, whichever action led there
+        comm = policy[:side, :side] == Action.COMM
+        carry = np.stack([comm, comm], axis=-1).ravel()
+    elif isinstance(policy, AlternatingPolicy):
+        # slot k plays k % 2, so a slot that played a is followed by 1 - a
+        carry = np.tile(np.int8([Action.COMM, Action.SENSE]), side * side)
+    else:
+        # every key carries sense, and each slot adds its drawn action
+        carry = np.zeros(2 * side * side, dtype=np.int8)
+        action_rng = _PCG64Lanes(root, keys, _ACTION_STREAM)
+        comm_threshold = np.uint64(_success_threshold(policy.p))
+    successor, stage, threshold = _tables(reach, carry)
     outcome_rng = _PCG64Lanes(root, keys, _OUTCOME_STREAM)
-    action_rng = (_PCG64Lanes(root, keys, _ACTION_STREAM)
-                  if getattr(policy, "uses_action_stream", False) else None)
     n = 1 if keys is None else len(keys)
+    # slot 0 plays what follows a comm slot: the grid's action at s0, or
+    # sense (for alternate, slot 0 is even)
     x0 = s0[0] * side + s0[1]
-    key = np.full(n, 2 * x0 + (0 if grid is None else int(grid[x0])),
-                  dtype=np.intp)
+    key = np.full(n, 2 * x0 + int(carry[2 * x0 + Action.COMM]), dtype=np.intp)
     r, thr = np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint64)
-    g, u_act = np.empty(n), np.empty(n)
+    g = np.empty(n)
     success, idx = np.empty(n, dtype=bool), np.empty(n, dtype=np.intp)
     cost = np.zeros(n)
     gamma_pow = 1.0
     path = np.empty(horizon + 1, dtype=np.intp)  # trajectory 0's keys
     outcomes = np.empty(horizon, dtype=np.int8)
     for k in range(horizon):
-        if grid is None:
-            u = None if action_rng is None else action_rng.random(u_act)
-            key += policy.actions(k, u)
+        if action_rng is not None:
+            # comm when the draw is below p's threshold, as for an outcome
+            key += np.less(action_rng.bits53(r), comm_threshold, out=success)
         # every key is in range, so "wrap" changes no index; unlike the
         # default "raise", it does not buffer out
         threshold.take(key, out=thr, mode="wrap")

@@ -489,6 +489,20 @@ def test_a_flag_entry_that_is_not_a_number_exits_2_naming_it(tmp_path, capsys,
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("policy, message", [
+    ("random_bernoulli:1.5", "p must be in [0, 1], got 1.5"),
+    ("random_bernoulli:nan", "p must be in [0, 1], got nan"),
+    ("bogus", "unknown baseline policy 'bogus'"),
+])
+def test_a_rejected_policy_exits_2_naming_the_flag(tmp_path, capsys, policy,
+                                                   message):
+    assert run(tmp_path, "simulate", "--policy", policy, *small_flags()) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: --policy {policy!r}: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
 def test_sweep_unknown_axis(tmp_path, capsys):
     assert run(tmp_path, "sweep", "--axis", "a_max", "--values", "4") == 2
     assert "axis" in capsys.readouterr().err

@@ -217,8 +217,9 @@ def numpy_stream(root, key, which, horizon):
 def lane_draws(root, keys, which, horizon, columns):
     """The sampled columns of the lanes' (horizon, lanes) draws."""
     lanes = _PCG64Lanes(root, keys, which)
-    u = np.empty(1 if keys is None else len(keys))
-    return np.array([lanes.random(u)[columns] for _ in range(horizon)])
+    r = np.empty(1 if keys is None else len(keys), dtype=np.uint64)
+    return np.array([lanes.bits53(r)[columns] * 2.0 ** -53
+                     for _ in range(horizon)])
 
 
 @pytest.mark.parametrize("entropy", [0, 1, 2**32, 2**64 + 5, 2**200,
@@ -246,6 +247,22 @@ def test_streams_long_horizon_and_last_of_many_lanes():
         draws = lane_draws(root, np.arange(n), which, 400, [0, n - 1])
         for col, j in enumerate((0, n - 1)):
             assert np.array_equal(draws[:, col], numpy_stream(root, (j,), which, 400))
+
+
+def test_lane_step_carries_at_the_low_word_boundary():
+    # lo * M_LO + inc_lo lands just below, at and just above 2^64: a carry
+    # that depends on inc_lo's low 32 bits, which seeded streams reach only
+    # about once in 2^32 steps
+    lanes = _PCG64Lanes(np.random.SeedSequence(0), np.arange(4), 0)
+    inverse = pow(sim._M_LO, -1, 2 ** 64)
+    expected = []
+    for j, d in enumerate((-1, 0, 1, 2)):
+        lanes.lo[j] = (2 ** 64 - int(lanes.inc_lo[j]) + d) * inverse % 2 ** 64
+        state = int(lanes.hi[j]) << 64 | int(lanes.lo[j])
+        inc = int(lanes.inc_hi[j]) << 64 | int(lanes.inc_lo[j])
+        expected.append((state * sim._PCG_MULT + inc) % 2 ** 128)
+    lanes._step()
+    assert [int(h) << 64 | int(lo) for h, lo in zip(lanes.hi, lanes.lo)] == expected
 
 
 def test_estimate_records_trajectory_zero():
@@ -342,6 +359,13 @@ def test_the_integer_success_test_is_exact_at_its_edges(p, monkeypatch):
                              (5, 1), 2, np.random.SeedSequence(0),
                              np.arange(len(draws)))
     assert (costs < 5.1 + 0.95 * 4.1).tolist() == expected
+    # random_bernoulli:p plays comm on the same rule: from (5, 1) comm costs
+    # 5.1 and sense 5.2 in the first slot
+    params = make(a_max=10)
+    costs, _ = sim._lockstep(baseline_policy("random_bernoulli", params, p=p),
+                             params, (5, 1), 1, np.random.SeedSequence(0),
+                             np.arange(len(draws)))
+    assert (costs < 5.15).tolist() == expected
 
 
 def policies_of_every_kind(params, tmp_path):
@@ -390,9 +414,13 @@ def test_key_tables_follow_the_dynamics_state_by_state(a_max):
     n = params.n_ages
     grid = np.random.default_rng(a_max).integers(
         0, 2, params.grid_shape).astype(np.int8)
-    for policy in (None, grid):
-        successor, stage, threshold = sim._tables(
-            params, None if policy is None else policy.ravel())
+    # the action the next key carries after action a leads to state nxt:
+    # a grid's, alternate's and a drawn action's (sense, the draw added later)
+    rules = [(np.repeat(grid.ravel(), 2), lambda nxt, a: grid[nxt]),
+             (np.tile([1, 0], n * n), lambda nxt, a: 1 - a),
+             (np.zeros(2 * n * n, dtype=np.int8), lambda nxt, a: 0)]
+    for carry, carried in rules:
+        successor, stage, threshold = sim._tables(params, carry)
         assert successor.shape == (4 * n * n,)
         assert stage.shape == threshold.shape == (2 * n * n,)
         assert threshold.dtype == np.uint64
@@ -403,5 +431,5 @@ def test_key_tables_follow_the_dynamics_state_by_state(a_max):
             assert threshold[key] == math.ceil(params.success_prob(a) * 2 ** 53)
             for o, nxt in ((0, fail), (1, succ[a])):
                 nxt = (int(nxt[0]), int(nxt[1]))
-                action = 0 if policy is None else policy[nxt]
-                assert successor[2 * key + o] == 2 * (nxt[0] * n + nxt[1]) + action
+                assert (successor[2 * key + o]
+                        == 2 * (nxt[0] * n + nxt[1]) + carried(nxt, a))
