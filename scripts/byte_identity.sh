@@ -13,7 +13,9 @@
 # 1 and 7 under every named policy and under the solved policy.csv,
 # `simulate` with a seed of more than 64 bits, and `sweep` of c_c. Legs at
 # the solver's edges follow: `solve` and `verify` at the smallest grid
-# (a_max=2), `solve` at gamma=0.999 (a_max=30, about 22,000 sweeps) with
+# (a_max=2), `solve` at the large grid a_max=1000 (a 1,002,001-cell
+# value.csv and PGM, which the real-grid writer takes in many blocks),
+# `solve` at gamma=0.999 (a_max=30, about 22,000 sweeps) with
 # `sweep` of gamma over 0.99,0.999, and a `solve` cut off by
 # --solver.max_iter=5 (exit 3, partial artifacts). Then `solve` and `verify`
 # at the edges of the backup's per-action constants (a_max=30): gamma=0 (two
@@ -31,7 +33,7 @@
 set -euo pipefail
 
 if [ $# -ne 3 ]; then
-    sed -n '2,30p' "$0" >&2
+    sed -n '2,32p' "$0" >&2
     exit 2
 fi
 base=$(cd "$1" && pwd)
@@ -96,6 +98,8 @@ run_side() {
             --output.directory=edges/a_max_2
         aoi verify "${model[@]}" --model.gamma=0.95 --model.a_max=2 \
             --output.directory=edges/a_max_2
+        aoi solve "${model[@]}" --model.gamma=0.95 --model.a_max=1000 \
+            --output.directory=edges/a_max_1000
         aoi solve "${model[@]}" --model.gamma=0.999 --model.a_max=30 \
             --output.directory=edges/gamma_0.999
         aoi sweep --axis=gamma --values=0.99,0.999 "${model[@]}" \

@@ -7,14 +7,28 @@ self-describing. Reals are printed with 17 significant digits, which
 round-trips float64 losslessly; rerunning a writer with identical inputs
 reproduces identical bytes.
 
-The grid writers work a row at a time: one precomposed '%' format per row
-("%.17g", or "%d" for integer grids) over the row's Python values, which
-gives the bytes fmt_real and str(int(v)) give cell by cell. The readers
-check each data line's length and index, then convert its cells with one
-numpy call, which reads every cell as float() or int() does; so an error
-names the first malformed line in file order. A row at a time, not the
-whole grid in one call: that would hold every cell's string at once, about
-5 MB more at a_max=300.
+A real grid is written by an exact array kernel, giving the bytes fmt_real
+gives cell by cell. For each cell it computes the 17 significant digits of
+"%.17g" as one integer, round_half_even(m 5^k 2^(e + k)) for x = m 2^e,
+from uint64 arithmetic (P mod 2^64) and a float64 estimate of the high
+bits: the fixed-precision conversion of Adams, "Ryu revisited: printf
+floating point conversion" (OOPSLA 2019), on arrays. The digits, the dot
+and the sign go into a fixed-width byte array, and one mask keeps the
+columns that "%.17g" writes. It covers 0, -0.0 and magnitudes in
+[1e-4, 1e16), where "%.17g" uses fixed notation; a row holding any other
+cell (1e16, 5e-324, nan) is written by one precomposed "%.17g" format over
+the row's Python values, as is every grid whose dtype is not a bool,
+integer or float of at most 8 bytes. The kernel works on blocks of whole
+rows of at most _CELLS_PER_BLOCK cells, so its working memory is bounded
+whatever a_max is. An integer grid goes through one "%d" format per row,
+which prints a cell as str(int(v)) does. The PGM writer looks each gray
+level's text up in a byte table and drops the padding with one mask.
+
+The readers check each data line's length and index, then convert its
+cells with one numpy call, which reads every cell as float() or int()
+does; so an error names the first malformed line in file order. A row at
+a time, not the whole grid in one call: that would hold every cell's
+string at once, about 5 MB more at a_max=300.
 
 A policy grid, whose cells are all 0 or 1, goes as bytes both ways: the
 writer fills an (n, 2n) uint8 array of commas and digits and decodes it a
@@ -46,6 +60,45 @@ GLYPHS = np.frombuffer(b"SC", dtype=np.uint8)
 # pure-Python encoder.
 _JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
 _JSON_LISTS = frozenset({list, tuple})
+
+# Cells that one block of the 17-digit kernel handles (whole rows, at least
+# one); bounds its working memory, about 150 bytes a cell, whatever a_max is.
+_CELLS_PER_BLOCK = 1 << 14
+# exact in their dtypes for every exponent k the kernel uses (0..21)
+_POW5 = np.array([5 ** k for k in range(23)], dtype=np.uint64)
+_POW10 = np.array([float(10 ** k) for k in range(23)])
+_ONES64 = np.uint64(2 ** 64 - 1)
+_E9, _E17 = np.uint64(10 ** 9), np.uint64(10 ** 17)
+# A kernel cell's text is laid out in _WIDTH columns, then the columns it
+# does not use are dropped: 0 the sign, 1-5 "0.000" (what precedes the
+# digits when the exponent X < 0), 6-23 the 17 digits with the dot after
+# digit X (or, for X < 0, the digits from column 7), 24 the separator.
+_WIDTH = 25
+_TEMPLATE = np.frombuffer(b"-0.000" + b"\0" * 18 + b",", dtype=np.uint8)
+_DIGIT_INDEX = np.arange(17, dtype=np.uint8)[:, None]
+
+
+def _fixed_masks() -> np.ndarray:
+    """The columns that a cell with exponent X (-4..15) and last nonzero
+    digit `last` (0..16) keeps, less the sign, at row (X + 4) * 17 + last."""
+    col = np.arange(_WIDTH)
+    X = np.arange(-4, 16)[:, None, None]
+    last = np.arange(17)[None, :, None]
+    # for X < 0 "0." and -X - 1 zeros, then the digits up to the last
+    # nonzero one; otherwise the X + 1 integer digits, and the dot and the
+    # fraction digits when a nonzero one follows them
+    first = np.where(X < 0, 7, 6)
+    end = np.where((X < 0) | (last > X), 7 + last, 6 + X)
+    keep = (((first <= col) & (col <= end)) | (col == _WIDTH - 1)
+            | ((X < 0) & (1 <= col) & (col <= 1 - X)))
+    return keep.reshape(-1, _WIDTH)
+
+
+_FIXED_MASKS = _fixed_masks()
+# the P2 text of each gray level, right-aligned in three bytes padded with
+# NUL, then a separator; one uint32 a level
+_LEVEL_TEXT = np.frombuffer(b"".join(str(v).encode().rjust(3, b"\0") + b" "
+                                     for v in range(256)), dtype=np.uint32)
 
 
 def fmt_real(x: float) -> str:
@@ -119,12 +172,134 @@ def grid_csv_text(grid: np.ndarray, comments: list[str] = (),
         body[:, 1::2] = ord("0") + (grid != 0)
         lines += [str(i) + row.tobytes().decode("ascii")
                   for i, row in enumerate(body)]
-    else:
-        # one precomposed format per row; "%.17g" prints a float as fmt_real
-        # does and "%d" an integer-valued cell as str(int(v)) does
-        row_fmt = ",".join(["%d"] + ["%d" if integer else "%.17g"] * n)
+    elif integer:
+        # one precomposed format per row; "%d" prints an integer-valued cell
+        # as str(int(v)) does
+        row_fmt = ",".join(["%d"] * (n + 1))
         lines += [row_fmt % (i, *row) for i, row in enumerate(grid.tolist())]
+    else:
+        lines += _real_lines(grid)
     return "\n".join(lines) + "\n"
+
+
+def _real_lines(grid: np.ndarray) -> list[str]:
+    """The data lines of a real grid, as fmt_real writes its cells.
+
+    A row whose cells are all 0 or between 1e-4 and 1e16 in magnitude goes
+    through the 17-digit kernel, a block of rows at a time; any other row,
+    and any grid that is not of a float, integer or bool dtype of at most 8
+    bytes, through one precomposed "%.17g" format per row.
+    """
+    n = grid.shape[0]
+    row_fmt = ",".join(["%d"] + ["%.17g"] * n)
+    if grid.dtype.kind not in "biuf" or grid.dtype.itemsize > 8:
+        return [row_fmt % (i, *row) for i, row in enumerate(grid.tolist())]
+    lines = []
+    step = max(1, _CELLS_PER_BLOCK // max(n, 1))
+    for lo in range(0, n, step):
+        block = grid[lo:lo + step]
+        x = block.astype(np.float64, copy=False)
+        a = np.abs(x)
+        fixed = (((a >= 1e-4) & (a < 1e16)) | (a == 0)).all(axis=1)
+        texts = iter(_fixed17_text(x[fixed]).split("\n") if fixed.any() else ())
+        for i, ok in enumerate(fixed.tolist()):
+            lines.append(f"{lo + i}," + next(texts) if ok
+                         else row_fmt % (lo + i, *block[i].tolist()))
+    return lines
+
+
+def _fixed17_text(x: np.ndarray) -> str:
+    """The cells of the rows of x, as "%.17g" writes them, each followed by
+    "," or, at the end of its row, a newline. Every cell is 0 or has a
+    magnitude in [1e-4, 1e16), where "%.17g" uses fixed notation."""
+    cells = x.size
+    a = np.abs(x.ravel())
+    zero = np.flatnonzero(a == 0)
+    a[zero] = 1.0
+    N, X = _sig17(a)
+    N[zero], X[zero] = 0, 0  # "0": digits all 0, kept up to the first
+    # the digits, most significant first, one row per position; from two
+    # halves below 10^9 (uint32 division by a scalar is the fast kind)
+    digits = np.empty((17, cells), np.uint8)
+    high = N // _E9
+    for top, bottom, v in ((8, 16, (N - high * _E9).astype(np.uint32)),
+                           (0, 7, high.astype(np.uint32))):
+        for j in range(bottom, top, -1):
+            q = v // 10
+            np.subtract(v, q * 10, out=digits[j], casting="unsafe")
+            v = q
+        digits[top] = v
+    last = np.max((digits != 0) * _DIGIT_INDEX, axis=0)
+    digits += ord("0")
+    text = np.empty((cells, _WIDTH), np.uint8)
+    text[:] = _TEMPLATE
+    column = text.T
+    # every digit one column right, as the fraction digits stand; then the
+    # integer digits move left over the dot's column and the dot follows
+    column[7:24] = digits
+    for c in range(min(int(X.max()) + 2, 17)):
+        np.copyto(column[6 + c], digits[c], where=X >= c)
+        np.copyto(column[6 + c], ord("."), where=X == c - 1)
+    text.reshape(-1, x.shape[-1], _WIDTH)[:, -1, -1] = ord("\n")
+    keep = _FIXED_MASKS.take((X + 4) * 17 + last, axis=0)
+    # (np.signbit into the strided column skips cells in numpy 2.4)
+    keep[:, 0] = np.signbit(x.ravel())
+    return text[keep].tobytes().decode("ascii")
+
+
+def _sig17(a: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(N, X) for each a in [1e-4, 1e16): its 17 significant digits as an
+    integer, 10^16 <= N < 10^17, rounded half to even as "%.16e" rounds
+    them, and its decimal exponent, so a is about N 10^(X - 16)."""
+    f, E = np.frexp(a)
+    m = (f * 2.0 ** 53).astype(np.uint64)  # a = m 2^(E - 53)
+    # floor(log10(2^(E - 1))) (exact for |E| < 1100): X or X - 1, as
+    # 2^(E - 1) <= a < 2^E
+    X = ((E - 1).astype(np.int64) * 78913) >> 18
+    N = _round17(a, m, E, X)
+    # one short, X leaves N at 10^17 or more; one step up then gives N in
+    # [10^16, 10^17): no double in [1e-4, 1e16) is within 5e-17 (half a
+    # 17th digit) below a power of ten, so no rounding carries N to 10^17
+    redo = np.flatnonzero(N >= _E17)
+    X[redo] += 1
+    N[redo] = _round17(a[redo], m[redo], E[redo], X[redo])
+    return N, X
+
+
+def _round17(a, m, E, X) -> np.ndarray:
+    """round_half_even(a 10^k) for k = 16 - X, exactly, as uint64.
+
+    a 10^k = P / 2^s with P = m 5^k 2^t (t > 0 only where s would be
+    negative). uint64 arithmetic gives P mod 2^64 exactly, and so the low
+    64 - s bits of floor(P / 2^s) (s is at most 46 here). The float64
+    product a 10^k is within a relative 2^-53 of it, which is below 10^18,
+    so it is less than 2^7 off, and those bits fix floor(P / 2^s) exactly.
+    The remainder P mod 2^s decides the rounding.
+    """
+    k = 16 - X
+    s = 53 - E - k
+    shift = np.maximum(s, 0)
+    P = np.multiply(m, _POW5.take(k))
+    P <<= (shift - s).view(np.uint64)
+    shift = shift.view(np.uint64)
+    estimate = np.multiply(a, _POW10.take(k)).astype(np.uint64)
+    # floor = estimate + the offset, taken modulo 2^(64 - s) into
+    # [-2^(63 - s), 2^(63 - s)), that brings its low bits to P's
+    bits = _ONES64 >> shift
+    half = (bits >> 1) + 1
+    q = P >> shift
+    q -= estimate
+    q += half
+    q &= bits
+    q += estimate
+    q -= half
+    # up when the remainder r (over 2^s) passes one half, or meets it and
+    # q is odd: r + (q & 1) > 2^(s - 1) (s = 0 has r = 0 and never rounds)
+    below = ~(_ONES64 << shift)
+    P &= below
+    P += q & 1
+    q += P > (below >> 1) + 1
+    return q
 
 
 def write_grid_csv(path, grid: np.ndarray, comments: list[str] = (),
@@ -243,7 +418,11 @@ def value_pgm_text(grid: np.ndarray) -> str:
         levels = np.rint((grid - lo) / (hi - lo) * 255).astype(int)
     else:
         levels = np.zeros(grid.shape, dtype=int)
-    lines = ["P2", f"{grid.shape[1]} {grid.shape[0]}", "255"]
-    row_fmt = " ".join(["%d"] * grid.shape[1])
-    lines += [row_fmt % tuple(row) for row in levels.tolist()]
-    return "\n".join(lines) + "\n"
+    head = f"P2\n{grid.shape[1]} {grid.shape[0]}\n255\n"
+    if not 0 <= levels.min() <= levels.max() <= 255:  # from inf or overflow
+        row_fmt = " ".join(["%d"] * grid.shape[1])
+        return head + "".join(row_fmt % tuple(row) + "\n"
+                              for row in levels.tolist())
+    text = _LEVEL_TEXT.take(levels).view(np.uint8)
+    text.reshape(*grid.shape, 4)[:, -1, -1] = ord("\n")
+    return head + text[text != 0].tobytes().decode("ascii")

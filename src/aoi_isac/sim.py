@@ -332,11 +332,15 @@ def _lockstep(policy, params: ModelParams, s0: State, horizon: int,
     elif isinstance(policy, AlternatingPolicy):
         # slot k plays k % 2, so a slot that played a is followed by 1 - a
         carry = np.tile(np.int8([Action.COMM, Action.SENSE]), side * side)
-    else:
+    elif isinstance(policy, RandomCommPolicy):
         # every key carries sense, and each slot adds its drawn action
         carry = np.zeros(2 * side * side, dtype=np.int8)
         action_rng = _PCG64Lanes(root, keys, _ACTION_STREAM)
         comm_threshold = np.uint64(_success_threshold(policy.p))
+    else:
+        raise TypeError("policy must be a policy grid (np.ndarray), an "
+                        "AlternatingPolicy or a RandomCommPolicy, got "
+                        f"{type(policy).__name__}")
     successor, stage, threshold = _tables(reach, carry)
     outcome_rng = _PCG64Lanes(root, keys, _OUTCOME_STREAM)
     n = 1 if keys is None else len(keys)

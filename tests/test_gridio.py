@@ -1,11 +1,12 @@
 """Grid writers and readers against per-cell reference implementations.
 
-The writers format a row at a time and the readers convert each line's
-cells in one numpy call, or a 0/1 policy row as bytes. The references below
-format and parse one cell at a time with fmt_real, str(int(v)), float() and
-int(); the fast paths must give the same bytes, accept and reject the same
-cells, and name the same lines. The JSON writer's reference is
-json.dumps(obj, indent=2, sort_keys=True).
+The real-grid writer prints 17 digits with an array kernel in blocks of
+rows, the integer writer formats a row at a time, and the readers convert
+each line's cells in one numpy call, or a 0/1 policy row as bytes. The
+references below format and parse one cell at a time with fmt_real,
+str(int(v)), float() and int(); the fast paths must give the same bytes,
+accept and reject the same cells, and name the same lines. The JSON
+writer's reference is json.dumps(obj, indent=2, sort_keys=True).
 """
 
 import enum
@@ -93,6 +94,65 @@ def test_integer_csv_matches_per_cell_formatting(name):
             == csv_per_cell(grid, ["c"], integer=True))
 
 
+def square(values, rng):
+    """values in random order and with random signs, cycled to fill the
+    smallest square grid that holds them all."""
+    values = rng.permutation(np.asarray(values, dtype=float))
+    n = int(np.ceil(np.sqrt(values.size)))
+    cells = np.resize(values, n * n) * rng.choice([-1.0, 1.0], n * n)
+    return cells.reshape(n, n)
+
+
+def adversarial_grids():
+    """Grids for the 17-digit kernel: its range's edges, exact ties, short
+    decimals, and rows where cells outside its range send the row to the
+    "%.17g" format."""
+    rng = np.random.default_rng(20)
+    decades = np.array([float(f"1e{k}") for k in range(-4, 17)])
+    around = np.concatenate([np.nextafter(decades, 0), decades,
+                             np.nextafter(decades, np.inf)])
+    odd = rng.integers(2 ** 52, 2 ** 53, 400) | 1
+    integers = np.concatenate([rng.integers(0, 2 ** 53, 400), [2 ** 53 - 1, 2 ** 53]])
+    short = np.concatenate([np.round(rng.uniform(0, 1000, 100), d) for d in range(6)])
+    # every double in [1e-4, 1e16) equally likely, by its bits
+    bits = rng.integers(*np.array([1e-4, 1e16]).view(np.int64), 4000)
+    mixed = square(10.0 ** rng.uniform(-4, 16, 400), rng)
+    for row, cell in ((1, 1e16), (4, 9.9e-5), (7, 5e-324), (11, 1e300), (12, -1e16)):
+        mixed[row, row % 5] = cell
+    return {
+        # every decade, both its neighbours, and 2x and 5x each
+        "decades": square(np.concatenate([around, 2 * around, 5 * around]), rng),
+        "decades_in_range": square(around[(around >= 1e-4) & (around < 1e16)], rng),
+        "random_bits": square(bits.view(np.float64), rng),
+        # m / 4 with m odd in [2^52, 2^53): the 17th digit is an exact tie
+        "ties": square(np.concatenate([odd / 4, odd / 2, odd / 8]), rng),
+        "integers": square(integers, rng),
+        "short_decimals": square(short, rng),
+        "zeros": square([0.0, -0.0, 1e-4, 0.5, 1e15], rng),
+        "mixed_rows": mixed,
+    }
+
+
+@pytest.mark.parametrize("name", list(adversarial_grids()))
+def test_adversarial_real_csv_matches_per_cell_formatting(name):
+    grid = adversarial_grids()[name]
+    assert gridio.grid_csv_text(grid, ["c"]) == csv_per_cell(grid, ["c"])
+
+
+def test_grid_larger_than_a_block_round_trips_bit_for_bit(tmp_path):
+    n = 150
+    step = gridio._CELLS_PER_BLOCK // n
+    assert 0 < step < n  # a block edge falls mid-grid
+    grid = np.random.default_rng(21).normal(scale=100.0, size=(n, n))
+    # "%.17g" rows on both sides of the block edge
+    grid[step - 1, 3], grid[step, 5], grid[step + 1, 7] = 1e300, -0.0, 5e-324
+    path = tmp_path / "v.csv"
+    gridio.write_grid_csv(path, grid, ["c"])
+    assert path.read_text() == csv_per_cell(grid, ["c"])
+    back, comments = gridio.read_grid_csv(path)
+    assert back.tobytes() == grid.tobytes() and comments == ["c"]
+
+
 def test_special_reals_round_trip_bit_for_bit(tmp_path):
     grid = real_grids()["special"]
     path = tmp_path / "v.csv"
@@ -109,6 +169,19 @@ def test_special_reals_round_trip_bit_for_bit(tmp_path):
 ])
 def test_pgm_matches_per_cell_formatting(grid):
     assert gridio.value_pgm_text(grid) == pgm_per_cell(grid)
+
+
+def test_pgm_matches_per_cell_formatting_on_every_level():
+    grid = np.random.default_rng(5).permutation(np.linspace(-3.0, 7.0, 400))
+    text = gridio.value_pgm_text(grid.reshape(20, 20))
+    assert text == pgm_per_cell(grid.reshape(20, 20))
+    assert {int(v) for v in text.split()[4:]} == set(range(256))
+
+
+def test_pgm_of_a_non_finite_grid_matches_per_cell_formatting():
+    grid = np.array([[0.0, np.inf], [1.0, 2.0]])
+    with np.errstate(invalid="ignore"):  # inf / inf becomes an arbitrary level
+        assert gridio.value_pgm_text(grid) == pgm_per_cell(grid)
 
 
 @pytest.mark.parametrize("policy", [

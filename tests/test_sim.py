@@ -329,6 +329,21 @@ def test_policy_grid_of_the_wrong_shape_is_rejected():
             rollout(grid, p, (1, 1), horizon=5, seed=0)
 
 
+class HasP:
+    """Not a policy, though it has a comm probability attribute."""
+    p = 0.5
+
+
+@pytest.mark.parametrize("policy", ["always_sense", HasP()])
+def test_policy_of_an_unknown_kind_is_rejected(policy):
+    p = make(a_max=5)
+    match = "policy grid .* AlternatingPolicy or a RandomCommPolicy, got "
+    with pytest.raises(TypeError, match=match + type(policy).__name__):
+        rollout(policy, p, (1, 1), horizon=5, seed=0)
+    with pytest.raises(TypeError, match=match):
+        estimate_value(policy, p, (1, 1), n=10, horizon=5, seed=0)
+
+
 # success probabilities at the edges of the integer success test; from 0.5
 # up p * 2^53 is an integer, and 0.3 is a typical p below it that is not
 LAMBDA_EDGES = [0.0, 5e-324, 1e-300, 2.0 ** -53, 0.3, 0.5, 0.6, 1 - 2.0 ** -53,
