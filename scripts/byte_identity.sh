@@ -27,13 +27,17 @@
 # and " 0" cells, and runs `simulate --policy-file` and `verify` on it. A
 # leg at the action draw's threshold edges, 0 and 2^53, runs `simulate`
 # (seed 1, reference config) under random_bernoulli:0 and random_bernoulli:1.
+# A leg at huge costs, c_s=c_c=1e140 (gamma=0.95, a_max=30), runs `solve`,
+# `verify`, `simulate` (seed 1) under random_bernoulli:0.3 and `sweep` of
+# c_s over 1e140,1e145: values of about 2e141 send every value.csv row
+# through the "%.17g" rows, and verify and sweep exit 0 there.
 # Each command's exit code is appended to exit_codes.txt in the compared
 # tree. Exits 0 when every artifact and exit code is identical, 1 when one
 # differs.
 set -euo pipefail
 
 if [ $# -ne 3 ]; then
-    sed -n '2,32p' "$0" >&2
+    sed -n '2,36p' "$0" >&2
     exit 2
 fi
 base=$(cd "$1" && pwd)
@@ -124,6 +128,14 @@ run_side() {
                     done ;;
             esac
         done
+        huge=("${model[@]}" --model.c_s=1e140 --model.c_c=1e140
+              --model.gamma=0.95 --model.a_max=30)
+        aoi solve "${huge[@]}" --output.directory=edges/c_1e140
+        aoi verify "${huge[@]}" --output.directory=edges/c_1e140
+        aoi simulate --policy=random_bernoulli:0.3 "${huge[@]}" --sim.seed=1 \
+            --output.directory=edges/c_1e140-random_bernoulli_0.3
+        aoi sweep --axis=c_s --values=1e140,1e145 "${huge[@]}" \
+            --output.directory=edges/c_1e140_sweep
     )
 }
 

@@ -102,7 +102,7 @@ def _write_solve_artifacts(cfg: RunConfig, V, policy, report) -> None:
     formats = cfg.output.formats
     if "csv" in formats:
         gridio.write_grid_csv(out / "value.csv", V, comments)
-        gridio.write_grid_csv(out / "policy.csv", policy, comments, integer=True)
+        gridio.write_grid_csv(out / "policy.csv", policy, comments)
         tau_lines = [f"# {c}" for c in comments] + ["alpha_b,tau"]
         tau_lines += [f"{j},{t}" for j, t in enumerate(tau.tolist())]
         (out / "thresholds.csv").write_text("\n".join(tau_lines) + "\n")

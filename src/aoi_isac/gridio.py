@@ -7,22 +7,25 @@ self-describing. Reals are printed with 17 significant digits, which
 round-trips float64 losslessly; rerunning a writer with identical inputs
 reproduces identical bytes.
 
-A real grid is written by an exact array kernel, giving the bytes fmt_real
-gives cell by cell. For each cell it computes the 17 significant digits of
-"%.17g" as one integer, round_half_even(m 5^k 2^(e + k)) for x = m 2^e,
-from uint64 arithmetic (P mod 2^64) and a float64 estimate of the high
-bits: the fixed-precision conversion of Adams, "Ryu revisited: printf
-floating point conversion" (OOPSLA 2019), on arrays. The digits, the dot
-and the sign go into a fixed-width byte array, and one mask keeps the
-columns that "%.17g" writes. It covers 0, -0.0 and magnitudes in
-[1e-4, 1e16), where "%.17g" uses fixed notation; a row holding any other
-cell (1e16, 5e-324, nan) is written by one precomposed "%.17g" format over
-the row's Python values, as is every grid whose dtype is not a bool,
-integer or float of at most 8 bytes. The kernel works on blocks of whole
-rows of at most _CELLS_PER_BLOCK cells, so its working memory is bounded
-whatever a_max is. An integer grid goes through one "%d" format per row,
-which prints a cell as str(int(v)) does. The PGM writer looks each gray
-level's text up in a byte table and drops the padding with one mask.
+One rule gives every grid's text: a CSV cell is fmt_real of the cell, and
+a PGM level is the cell's place in the grid's range, 0..255. A bool or
+integer grid whose cells are all 0 or 1 (a policy) is written as an (n, 2n)
+uint8 array of commas and the digits fmt_real writes. Any other grid goes
+through an exact array kernel. For each cell it computes the 17
+significant digits of "%.17g" as one integer, round_half_even(m 5^k
+2^(e + k)) for x = m 2^e, from uint64 arithmetic (P mod 2^64) and a
+float64 estimate of the high bits: the fixed-precision conversion of
+Adams, "Ryu revisited: printf floating point conversion" (OOPSLA 2019), on
+arrays. The digits, the dot and the sign go into a fixed-width byte array,
+and one mask keeps the columns that "%.17g" writes. It covers 0, -0.0 and
+magnitudes in [1e-4, 1e16), where "%.17g" uses fixed notation; a row
+holding any other cell (1e16, 5e-324, nan, 2^62) is written by one
+precomposed "%.17g" format over the row's Python values, as is every grid
+whose dtype is not a bool, integer or float of at most 8 bytes. The kernel
+works on blocks of whole rows of at most _CELLS_PER_BLOCK cells, so its
+working memory is bounded whatever a_max is. The PGM writer looks each
+level's text up in a byte table and drops the padding with one mask; a
+grid that is not finite, or whose range overflows, raises ValueError.
 
 The readers check each data line's length and index, then convert its
 cells with one numpy call, which reads every cell as float() or int()
@@ -30,12 +33,10 @@ does; so an error names the first malformed line in file order. A row at
 a time, not the whole grid in one call: that would hold every cell's
 string at once, about 5 MB more at a_max=300.
 
-A policy grid, whose cells are all 0 or 1, goes as bytes both ways: the
-writer fills an (n, 2n) uint8 array of commas and digits and decodes it a
-row at a time, and the integer reader takes a line that is exactly its row
-index and n cells of "0" or "1" between commas with np.frombuffer. Any
-other integer grid or line goes through the '%d' format or int() as above,
-so "+1", " 0" or "1_0" cells and every line-numbered error are unchanged.
+The integer reader takes a line that is exactly its row index and n cells
+of "0" or "1" between commas with np.frombuffer, and any other line as
+above. The readers keep their integer flag: the text of value.csv's real
+1.0 and of policy.csv's action 1 is the same "1".
 
 JSON reports are json.dumps(obj, indent=2, sort_keys=True) byte for byte,
 but that call always runs json's pure-Python encoder. write_json recurses
@@ -47,6 +48,7 @@ line break and indent as its item separator.
 from __future__ import annotations
 
 import json
+import math
 from itertools import chain
 from pathlib import Path
 
@@ -158,25 +160,19 @@ def _json_text(obj, nl: str) -> str:
     return "[" + inner + ("," + inner).join(items) + nl + "]"
 
 
-def grid_csv_text(grid: np.ndarray, comments: list[str] = (),
-                  integer: bool = False) -> str:
+def grid_csv_text(grid: np.ndarray, comments: list[str] = ()) -> str:
     grid = np.asarray(grid)
     n = grid.shape[0]
     if grid.shape != (n, n):
         raise ValueError(f"grid must be square, got shape {grid.shape}")
     lines = [f"# {c}" for c in comments]
     lines.append(",".join([CORNER] + [str(j) for j in range(n)]))
-    if integer and ((grid == 0) | (grid == 1)).all():
+    if grid.dtype.kind in "biu" and ((grid == 0) | (grid == 1)).all():
         # a 0/1 grid as bytes: each row's cells are "," and "0" or "1"
         body = np.full((n, 2 * n), ord(","), dtype=np.uint8)
         body[:, 1::2] = ord("0") + (grid != 0)
         lines += [str(i) + row.tobytes().decode("ascii")
                   for i, row in enumerate(body)]
-    elif integer:
-        # one precomposed format per row; "%d" prints an integer-valued cell
-        # as str(int(v)) does
-        row_fmt = ",".join(["%d"] * (n + 1))
-        lines += [row_fmt % (i, *row) for i, row in enumerate(grid.tolist())]
     else:
         lines += _real_lines(grid)
     return "\n".join(lines) + "\n"
@@ -302,9 +298,8 @@ def _round17(a, m, E, X) -> np.ndarray:
     return q
 
 
-def write_grid_csv(path, grid: np.ndarray, comments: list[str] = (),
-                   integer: bool = False) -> None:
-    Path(path).write_text(grid_csv_text(grid, comments, integer))
+def write_grid_csv(path, grid: np.ndarray, comments: list[str] = ()) -> None:
+    Path(path).write_text(grid_csv_text(grid, comments))
 
 
 def read_grid_csv(path, integer: bool = False) -> tuple[np.ndarray, list[str]]:
@@ -366,7 +361,8 @@ def _read_grid(path: Path, integer: bool):
         raise ValueError(f"{path}:1: no header row found")
     if row_index != expected_cols:
         raise ValueError(f"{path}: expected {expected_cols} data rows, got {row_index}")
-    grid = np.array(rows, dtype=dtype)
+    # (a grid with no columns has no rows to take its shape from)
+    grid = np.array(rows, dtype=dtype).reshape(row_index, expected_cols)
     if not np.isfinite(grid).all():
         i, j = np.argwhere(~np.isfinite(grid))[0]
         raise ValueError(f"{path}:{linenos[i]}: non-finite cell value "
@@ -411,18 +407,18 @@ def decision_map_text(policy: np.ndarray, comments: list[str] = ()) -> str:
 
 def value_pgm_text(grid: np.ndarray) -> str:
     """Plain (ASCII, P2) portable graymap of a value surface, linearly
-    rescaled to 0..255 for external plotting."""
+    rescaled to 0..255 for external plotting. A grid that is not finite, or
+    whose range max - min overflows, raises ValueError."""
     grid = np.asarray(grid, dtype=float)
     lo, hi = float(grid.min()), float(grid.max())
+    if not math.isfinite(hi - lo):
+        raise ValueError(f"value surface has no gray levels: min {lo!r}, "
+                         f"max {hi!r}")
     if hi > lo:
         levels = np.rint((grid - lo) / (hi - lo) * 255).astype(int)
     else:
         levels = np.zeros(grid.shape, dtype=int)
-    head = f"P2\n{grid.shape[1]} {grid.shape[0]}\n255\n"
-    if not 0 <= levels.min() <= levels.max() <= 255:  # from inf or overflow
-        row_fmt = " ".join(["%d"] * grid.shape[1])
-        return head + "".join(row_fmt % tuple(row) + "\n"
-                              for row in levels.tolist())
     text = _LEVEL_TEXT.take(levels).view(np.uint8)
     text.reshape(*grid.shape, 4)[:, -1, -1] = ord("\n")
-    return head + text[text != 0].tobytes().decode("ascii")
+    return (f"P2\n{grid.shape[1]} {grid.shape[0]}\n255\n"
+            + text[text != 0].tobytes().decode("ascii"))

@@ -38,6 +38,14 @@ State = tuple[int, int]
 # 269 MB, 16 sweeps, one evaluation): the evaluation's peak plus the int8
 # policy, because the sweep grids are freed before it
 MAX_A_MAX = 2000
+# The largest value_upper_bound accepted. Every discounted cost, and so
+# every value, lies in [0, bound] up to rounding. The widest sum taken of
+# them is the Monte Carlo's spread: up to n <= 10^8 (config.MAX_SIM_DRAWS)
+# squared deviations, each at most about bound^2, so the sum stays near
+# 10^8 * 10^300 = 10^308, below the largest double, 1.8e308; the solver's
+# sums and the PGM's range max - min are smaller. Above it, a solve or a
+# simulation would write nan or inf.
+MAX_VALUE_BOUND = 1e150
 
 
 class Action(IntEnum):
@@ -83,6 +91,12 @@ class ModelParams:
         # an integral 5.0 or np.int64(5) is stored as int: the grid
         # functions need one (shapes, ranges, a_max.bit_length())
         object.__setattr__(self, "a_max", int(self.a_max))
+        if not self.value_upper_bound <= MAX_VALUE_BOUND:
+            raise ValueError(
+                f"c_s={self.c_s}, c_c={self.c_c}, gamma={self.gamma} and "
+                f"a_max={self.a_max} bound the value by (a_max + max(c_s, "
+                f"c_c)) / (1 - gamma) = {self.value_upper_bound:.6g}; it must "
+                f"be at most {MAX_VALUE_BOUND:g}")
 
     @property
     def lambda_ordering_ok(self) -> bool:

@@ -118,6 +118,41 @@ def test_non_finite_model_input_is_rejected_and_named(tmp_path, capsys):
         assert f"model.{field}" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()  # nothing written
 
+
+@pytest.mark.parametrize("argv", [
+    ["solve", "--model.c_s=1.8e307", "--model.c_c=1.8e307",
+     "--model.gamma=0.9", "--model.a_max=3"],
+    ["simulate", "--policy", "random_bernoulli:0.5", "--model.c_s=1e200"],
+], ids=["solve", "simulate"])
+def test_a_value_bound_too_large_exits_2_before_any_work(tmp_path, capsys,
+                                                         monkeypatch, argv):
+    # the solve would sweep to max_iter on nan; the estimate's spread would
+    # overflow to an std_error of Infinity, which is not JSON
+    def never(*args, **kwargs):
+        raise AssertionError("ran on a rejected config")
+
+    monkeypatch.setattr(cli, "_solve", never)
+    monkeypatch.setattr(sim, "estimate_value", never)
+    assert run(tmp_path, *argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid config: model.c_s=")
+    assert "gamma=" in err and "bound the value" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_the_largest_accepted_value_bound_runs_without_overflow(tmp_path):
+    # 5.000000000000005e+148 is the largest c_s accepted at the default
+    # gamma = 0.95 and a_max = 30 (test_model); the suite turns the
+    # RuntimeWarning of any overflow into an error
+    flags = ["--model.c_s", "5.000000000000005e+148", "--sim.n", "1000"]
+    assert run(tmp_path, "solve", *flags) == 0
+    assert run(tmp_path, "verify", *flags) == 0
+    assert run(tmp_path, "simulate", "--policy", "random_bernoulli:0.5",
+               *flags) == 0
+    report = json.loads(read_bytes(tmp_path, "simulate_report.json"))
+    assert 0.0 < report["std_error"] < report["mean"] < 1e150
+
+
 def test_config_file_and_flag_precedence(tmp_path):
     cfg = {"model": {"a_max": 6, "gamma": 0.5}, "sim": {"n": 10, "horizon": 5}}
     cfg_path = tmp_path / "run.json"
@@ -342,7 +377,7 @@ def test_simulate_policy_file_round_trip(tmp_path):
 
 def test_simulate_malformed_policy_file(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
-    good = gridio.grid_csv_text(np.zeros((3, 3)), integer=True).splitlines()
+    good = gridio.grid_csv_text(np.zeros((3, 3))).splitlines()
     good[2] = "1,0,oops,1"
     bad.write_text("\n".join(good) + "\n")
     rc = run(tmp_path, "simulate", "--policy-file", str(bad),
@@ -354,7 +389,7 @@ def test_simulate_malformed_policy_file(tmp_path, capsys):
 
 def test_simulate_policy_file_wrong_shape(tmp_path, capsys):
     path = tmp_path / "p.csv"
-    gridio.write_grid_csv(path, np.zeros((3, 3), dtype=int), integer=True)
+    gridio.write_grid_csv(path, np.zeros((3, 3), dtype=int))
     rc = run(tmp_path, "simulate", "--policy-file", str(path), *small_flags(a_max=8))
     assert rc == 2
     assert "a_max" in capsys.readouterr().err
@@ -455,6 +490,14 @@ def test_sweep_rejects_out_of_range_value(tmp_path, capsys):
     assert statuses[0.3] != "rejected"
 
 
+def test_sweep_rejects_a_value_whose_value_bound_is_too_large(tmp_path, capsys):
+    assert run(tmp_path, "sweep", "--axis", "c_s", "--values", "0.2,1e200",
+               *small_flags()) == 2
+    assert "c_s=1e+200 rejected: c_s=1e+200, c_c=0.1" in capsys.readouterr().err
+    rows = json.loads(read_bytes(tmp_path, "sweep_report.json"))["rows"]
+    assert [r["status"] for r in rows] == ["check_failed", "rejected"]
+
+
 @pytest.mark.parametrize("values, entry", [
     ("nan,0.1,inf", "nan"), ("0.1,inf", "inf"), ("0.1,-Infinity", "-Infinity"),
     ("1e400", "1e400"),
@@ -528,7 +571,7 @@ def test_solve_prints_the_number_of_policy_evaluations(tmp_path, capsys):
 def test_verify_names_each_artifact_of_the_wrong_shape(tmp_path, capsys):
     assert run(tmp_path, "solve", *small_flags(a_max=4)) == 0
     out = tmp_path / "out"
-    gridio.write_grid_csv(out / "policy.csv", np.zeros((3, 3), dtype=int), integer=True)
+    gridio.write_grid_csv(out / "policy.csv", np.zeros((3, 3), dtype=int))
     assert run(tmp_path, "verify", *small_flags(a_max=4)) == 2
     err = capsys.readouterr().err
     assert "policy.csv (3, 3)" in err and "value.csv" not in err

@@ -1,10 +1,10 @@
 """Grid writers and readers against per-cell reference implementations.
 
-The real-grid writer prints 17 digits with an array kernel in blocks of
-rows, the integer writer formats a row at a time, and the readers convert
-each line's cells in one numpy call, or a 0/1 policy row as bytes. The
-references below format and parse one cell at a time with fmt_real,
-str(int(v)), float() and int(); the fast paths must give the same bytes,
+The grid writer prints a 0/1 grid of bool or integer dtype as bytes and
+any other grid's 17 digits with an array kernel in blocks of rows, and the
+readers convert each line's cells in one numpy call, or a 0/1 policy row
+as bytes. The references below format and parse one cell at a time with
+fmt_real, float() and int(); the fast paths must give the same bytes,
 accept and reject the same cells, and name the same lines. The JSON
 writer's reference is json.dumps(obj, indent=2, sort_keys=True).
 """
@@ -21,14 +21,13 @@ from aoi_isac import cli, gridio
 SPECIAL = [-0.0, 5e-324, 0.1, 1e17, 1e300, -1e300, 1 / 3, 2.0**53 + 2, -7.0]
 
 
-def csv_per_cell(grid, comments=(), integer=False):
+def csv_per_cell(grid, comments=()):
     grid = np.asarray(grid)
     n = grid.shape[0]
-    fmt = (lambda v: str(int(v))) if integer else gridio.fmt_real
     lines = [f"# {c}" for c in comments]
     lines.append(",".join([gridio.CORNER] + [str(j) for j in range(n)]))
     for i in range(n):
-        lines.append(",".join([str(i)] + [fmt(v) for v in grid[i]]))
+        lines.append(",".join([str(i)] + [gridio.fmt_real(v) for v in grid[i]]))
     return "\n".join(lines) + "\n"
 
 
@@ -77,6 +76,10 @@ def integer_grids():
         "int8": np.array([[0, 1, -128], [127, 1, 0], [0, 0, 1]], dtype=np.int8),
         "int64": np.array([[2**62, -2**63], [0, 1]], dtype=np.int64),
         "bool": rng.random((6, 6)) < 0.5,
+        "uint8": np.array([[0, 1], [255, 7]], dtype=np.uint8),
+        "uint64_max": np.array([[2**64 - 1, 1], [0, 2**53 + 1]], dtype=np.uint64),
+        "int64_min": np.full((2, 2), -2**63, dtype=np.int64),
+        "int8_min": np.full((3, 3), -128, dtype=np.int8),
     }
 
 
@@ -90,8 +93,7 @@ def test_real_csv_matches_per_cell_formatting(name):
 @pytest.mark.parametrize("name", list(integer_grids()))
 def test_integer_csv_matches_per_cell_formatting(name):
     grid = integer_grids()[name]
-    assert (gridio.grid_csv_text(grid, ["c"], integer=True)
-            == csv_per_cell(grid, ["c"], integer=True))
+    assert gridio.grid_csv_text(grid, ["c"]) == csv_per_cell(grid, ["c"])
 
 
 def square(values, rng):
@@ -154,11 +156,14 @@ def test_grid_larger_than_a_block_round_trips_bit_for_bit(tmp_path):
 
 
 def test_special_reals_round_trip_bit_for_bit(tmp_path):
-    grid = real_grids()["special"]
     path = tmp_path / "v.csv"
-    gridio.write_grid_csv(path, grid)
-    back, _ = gridio.read_grid_csv(path)
-    assert back.tobytes() == grid.tobytes()  # -0.0 and subnormals included
+    # -0.0 and subnormals included; and a grid of no columns, whose file is
+    # the header alone
+    for grid in (real_grids()["special"], np.zeros((0, 0))):
+        gridio.write_grid_csv(path, grid)
+        back, _ = gridio.read_grid_csv(path)
+        assert back.shape == grid.shape and back.tobytes() == grid.tobytes()
+    assert gridio.read_policy_csv(path)[0].shape == (0, 0)
 
 
 @pytest.mark.parametrize("grid", [
@@ -178,10 +183,11 @@ def test_pgm_matches_per_cell_formatting_on_every_level():
     assert {int(v) for v in text.split()[4:]} == set(range(256))
 
 
-def test_pgm_of_a_non_finite_grid_matches_per_cell_formatting():
-    grid = np.array([[0.0, np.inf], [1.0, 2.0]])
-    with np.errstate(invalid="ignore"):  # inf / inf becomes an arbitrary level
-        assert gridio.value_pgm_text(grid) == pgm_per_cell(grid)
+def test_pgm_of_a_non_finite_grid_or_range_raises():
+    for grid in ([[0.0, np.inf], [1.0, 2.0]], [[0.0, 1.0], [np.nan, 2.0]],
+                 [[-np.inf, 0.0], [1.0, 2.0]], [[1.7e308, -1.7e308]]):
+        with pytest.raises(ValueError, match="value surface has no gray levels"):
+            gridio.value_pgm_text(np.array(grid))
 
 
 @pytest.mark.parametrize("policy", [
@@ -195,9 +201,9 @@ def test_decision_map_matches_per_cell_glyphs(policy):
             == map_per_cell(policy, ["c"]))
 
 
-def csv_with_cell(cell, integer=False, row=1, n=3):
+def csv_with_cell(cell, row=1, n=3):
     """A valid n x n grid CSV whose cell (row, 1) reads `cell`."""
-    text = gridio.grid_csv_text(np.ones((n, n)), ["comment"], integer=integer)
+    text = gridio.grid_csv_text(np.ones((n, n)), ["comment"])
     lines = text.splitlines()
     header = 1  # one comment line, then the header
     cells = lines[header + 1 + row].split(",")
@@ -224,7 +230,7 @@ def reference_cell(cell, integer):
 @pytest.mark.parametrize("integer", [False, True])
 @pytest.mark.parametrize("cell", CELLS)
 def test_reader_accepts_exactly_what_float_and_int_accept(tmp_path, cell, integer):
-    text, lineno = csv_with_cell(cell, integer)
+    text, lineno = csv_with_cell(cell)
     path = tmp_path / "g.csv"
     path.write_text(text)
     want = reference_cell(cell, integer)
@@ -241,7 +247,7 @@ def test_reader_accepts_exactly_what_float_and_int_accept(tmp_path, cell, intege
 @pytest.mark.parametrize("integer", [False, True])
 @pytest.mark.parametrize("row", [0, 2, 4])
 def test_bad_cell_names_its_line_in_any_row(tmp_path, integer, row):
-    text, lineno = csv_with_cell("oops", integer, row=row, n=5)
+    text, lineno = csv_with_cell("oops", row=row, n=5)
     path = tmp_path / "g.csv"
     path.write_text(text)
     with pytest.raises(ValueError, match=f"g.csv:{lineno}: bad cell value"):
@@ -249,7 +255,7 @@ def test_bad_cell_names_its_line_in_any_row(tmp_path, integer, row):
 
 
 def test_integer_cell_beyond_int64_names_its_line(tmp_path):
-    text, lineno = csv_with_cell(str(2**63), integer=True, row=2)
+    text, lineno = csv_with_cell(str(2**63), row=2)
     path = tmp_path / "p.csv"
     path.write_text(text)
     with pytest.raises(ValueError, match=f"p.csv:{lineno}: bad cell value"):
@@ -257,7 +263,7 @@ def test_integer_cell_beyond_int64_names_its_line(tmp_path):
 
 
 def good_lines(n=3):
-    return gridio.grid_csv_text(np.zeros((n, n)), ["a", "b"], integer=True).splitlines()
+    return gridio.grid_csv_text(np.zeros((n, n)), ["a", "b"]).splitlines()
 
 
 def write(tmp_path, lines):
@@ -331,7 +337,7 @@ def zero_one_grids():
         "bool": comm,
         "float_negative_zero": np.where(comm, 1.0, -0.0),
         "one_cell": np.ones((1, 1), dtype=np.int64),
-        # near misses, written through "%d"
+        # near misses, written through the 17-digit kernel
         "float_half": np.where(comm, 1.0, 0.5),
         "int64_two": comm + 1,
     }
@@ -340,8 +346,7 @@ def zero_one_grids():
 @pytest.mark.parametrize("name", list(zero_one_grids()))
 def test_zero_one_csv_matches_per_cell_formatting(name):
     grid = zero_one_grids()[name]
-    assert (gridio.grid_csv_text(grid, ["c"], integer=True)
-            == csv_per_cell(grid, ["c"], integer=True))
+    assert gridio.grid_csv_text(grid, ["c"]) == csv_per_cell(grid, ["c"])
 
 
 def policy_per_cell(path):
@@ -385,7 +390,7 @@ def test_policy_reader_matches_per_cell_reader_on_near_misses(tmp_path, name):
     every other line falls through to it, so grid or error are the same."""
     n = 5
     policy = np.random.default_rng(3).integers(0, 2, size=(n, n))
-    lines = gridio.grid_csv_text(policy, ["c"], integer=True).splitlines()
+    lines = gridio.grid_csv_text(policy, ["c"]).splitlines()
     first = 2  # one comment line and the header come first
     cases = []
     if name == "row past the last":

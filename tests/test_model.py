@@ -5,8 +5,9 @@ import itertools
 import numpy as np
 import pytest
 
-from aoi_isac.model import (Action, ModelParams, _backup_tables, delta_grid,
-                            dynamics, q_grids, stage_cost)
+from aoi_isac.model import (MAX_VALUE_BOUND, Action, ModelParams,
+                            _backup_tables, delta_grid, dynamics, q_grids,
+                            stage_cost)
 from aoi_isac.solver import bellman_backup
 from reference import Outcome, delta, q_value, transition
 
@@ -32,6 +33,22 @@ def test_param_validation():
         make(a_max=1)
     # gamma = 0 is admitted for degenerate instances
     assert make(gamma=0.0).gamma == 0.0
+
+
+# at the reference's gamma = 0.95 and a_max = 30, the largest c_s whose value
+# bound (a_max + c_s) / (1 - gamma) is at most MAX_VALUE_BOUND
+LARGEST_COST = 5.000000000000005e+148
+
+
+def test_value_bound_above_the_cap_is_rejected_naming_the_fields():
+    assert make(c_s=LARGEST_COST).value_upper_bound == MAX_VALUE_BOUND
+    assert make(c_c=LARGEST_COST).value_upper_bound == MAX_VALUE_BOUND
+    above = float(np.nextafter(LARGEST_COST, np.inf))
+    for overrides in ({"c_s": above}, {"c_c": above}, {"c_s": 1.8e307},
+                      {"c_s": 5e149, "c_c": 5e149, "gamma": 0.9}):
+        with pytest.raises(ValueError, match=r"c_s=.*, c_c=.*, gamma=.* and "
+                           r"a_max=30 bound the value .* at most 1e\+150"):
+            make(**overrides)
 
 
 def test_lambda_ordering_flag():

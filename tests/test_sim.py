@@ -387,7 +387,7 @@ def policies_of_every_kind(params, tmp_path):
     """The five named policies and a grid read back from a policy file."""
     grid = np.random.default_rng(params.a_max).integers(
         0, 2, params.grid_shape).astype(np.int8)
-    gridio.write_grid_csv(tmp_path / "policy.csv", grid, integer=True)
+    gridio.write_grid_csv(tmp_path / "policy.csv", grid)
     return {
         "optimal": solve(params, tol=1e-9, max_iter=10_000)[1],
         "always_sense": baseline_policy("always_sense", params),
