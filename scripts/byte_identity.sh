@@ -22,9 +22,12 @@
 # sweeps), lambda_s=1 lambda_c=0 (success probabilities 1 and 0, the
 # reversed ordering), lambda_s=0 lambda_c=1 and c_s=0 c_c=0; at the two
 # link edges `simulate` (seed 1) also runs under the optimal, alternate and
-# random_bernoulli:0.3 policies. A leg on the policy reader's general
-# path copies the reference solve with one policy.csv row rewritten as "+1"
-# and " 0" cells, and runs `simulate --policy-file` and `verify` on it. A
+# random_bernoulli:0.3 policies. At the large grid (a_max=300) `simulate`
+# (seed 1, 1000 trajectories) runs at horizon 50 under the same three
+# policies: the simulator's tables then stop at age max(s0) + horizon,
+# below a_max. A leg on the policy reader's general path copies the
+# reference solve with one policy.csv row rewritten as "+1" and " 0"
+# cells, and runs `simulate --policy-file` and `verify` on it. A
 # leg at the action draw's threshold edges, 0 and 2^53, runs `simulate`
 # (seed 1, reference config) under random_bernoulli:0 and random_bernoulli:1.
 # A leg at huge costs, c_s=c_c=1e140 (gamma=0.95, a_max=30), runs `solve`,
@@ -37,7 +40,7 @@
 set -euo pipefail
 
 if [ $# -ne 3 ]; then
-    sed -n '2,36p' "$0" >&2
+    sed -n '2,39p' "$0" >&2
     exit 2
 fi
 base=$(cd "$1" && pwd)
@@ -127,6 +130,11 @@ run_side() {
                             --output.directory="edges/$edge-${policy/:/_}"
                     done ;;
             esac
+        done
+        for policy in optimal alternate random_bernoulli:0.3; do
+            aoi simulate --policy="$policy" "${model[@]}" --model.gamma=0.95 \
+                --model.a_max=300 --sim.n=1000 --sim.horizon=50 --sim.s0=1,1 \
+                --sim.seed=1 --output.directory="edges/horizon_50-${policy/:/_}"
         done
         huge=("${model[@]}" --model.c_s=1e140 --model.c_c=1e140
               --model.gamma=0.95 --model.a_max=30)

@@ -9,7 +9,7 @@ solution is validated against are in tests/reference.py.
 """
 
 from .config import RunConfig, build_config, default_model_params
-from .model import Action, ModelParams, delta_grid, q_grids, stage_cost
+from .model import Action, ModelParams, delta_grid, q_grids
 from .sim import (AlternatingPolicy, RandomCommPolicy, SimEstimate, Trajectory,
                   baseline_policy, estimate_value, rollout,
                   truncation_bias_bound)
@@ -31,5 +31,5 @@ __all__ = [
     "check_submodular", "check_threshold_monotone", "default_model_params",
     "delta_grid", "estimate_value", "evaluate_policy", "extract_policy",
     "extract_thresholds", "q_grids", "rollout", "run_all_checks", "solve",
-    "stage_cost", "truncation_bias_bound", "value_iteration",
+    "truncation_bias_bound", "value_iteration",
 ]

@@ -19,9 +19,9 @@ from .model import ModelParams
 from .solver import _check_budget
 
 VALID_FORMATS = ("csv", "json", "ascii")
-# bounds the simulation's work, n * horizon trajectory slots: 10^8 is 25x
-# the benchmark's largest simulation. The uniforms are drawn slot by slot and
-# never stored, so this no longer bounds memory.
+# bounds the simulation's work, n * horizon trajectory slots, not its
+# memory (no slot's draws are kept): 10^8 is 25x the benchmark's largest
+# simulation.
 MAX_SIM_DRAWS = 10**8
 
 

@@ -20,8 +20,7 @@ arrays. The digits, the dot and the sign go into a fixed-width byte array,
 and one mask keeps the columns that "%.17g" writes. It covers 0, -0.0 and
 magnitudes in [1e-4, 1e16), where "%.17g" uses fixed notation; a row
 holding any other cell (1e16, 5e-324, nan, 2^62) is written by one
-precomposed "%.17g" format over the row's Python values, as is every grid
-whose dtype is not a bool, integer or float of at most 8 bytes. The kernel
+precomposed "%.17g" format over the row's float64 values. The kernel
 works on blocks of whole rows of at most _CELLS_PER_BLOCK cells, so its
 working memory is bounded whatever a_max is. The PGM writer looks each
 level's text up in a byte table and drops the padding with one mask; a
@@ -181,26 +180,23 @@ def grid_csv_text(grid: np.ndarray, comments: list[str] = ()) -> str:
 def _real_lines(grid: np.ndarray) -> list[str]:
     """The data lines of a real grid, as fmt_real writes its cells.
 
-    A row whose cells are all 0 or between 1e-4 and 1e16 in magnitude goes
-    through the 17-digit kernel, a block of rows at a time; any other row,
-    and any grid that is not of a float, integer or bool dtype of at most 8
-    bytes, through one precomposed "%.17g" format per row.
+    The cells are read as float64, as fmt_real reads them. A row whose
+    cells are all 0 or between 1e-4 and 1e16 in magnitude goes through the
+    17-digit kernel, a block of rows at a time; any other row through one
+    precomposed "%.17g" format.
     """
     n = grid.shape[0]
     row_fmt = ",".join(["%d"] + ["%.17g"] * n)
-    if grid.dtype.kind not in "biuf" or grid.dtype.itemsize > 8:
-        return [row_fmt % (i, *row) for i, row in enumerate(grid.tolist())]
     lines = []
     step = max(1, _CELLS_PER_BLOCK // max(n, 1))
     for lo in range(0, n, step):
-        block = grid[lo:lo + step]
-        x = block.astype(np.float64, copy=False)
+        x = grid[lo:lo + step].astype(np.float64, copy=False)
         a = np.abs(x)
         fixed = (((a >= 1e-4) & (a < 1e16)) | (a == 0)).all(axis=1)
         texts = iter(_fixed17_text(x[fixed]).split("\n") if fixed.any() else ())
         for i, ok in enumerate(fixed.tolist()):
             lines.append(f"{lo + i}," + next(texts) if ok
-                         else row_fmt % (lo + i, *block[i].tolist()))
+                         else row_fmt % (lo + i, *x[i].tolist()))
     return lines
 
 

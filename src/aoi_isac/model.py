@@ -125,17 +125,6 @@ class ModelParams:
         """Discounted sum of the maximal stage cost; bounds any value grid."""
         return self.max_stage_cost / (1.0 - self.gamma)
 
-    def success_prob(self, action: Action | int) -> float:
-        return self.lambda_c if action == Action.COMM else self.lambda_s
-
-    def activation_cost(self, action: Action | int) -> float:
-        return self.c_c if action == Action.COMM else self.c_s
-
-
-def stage_cost(state: State, action: Action | int, params: ModelParams) -> float:
-    """Per-slot cost: source age plus the activation cost of the action."""
-    return state[0] + params.activation_cost(action)
-
 
 def dynamics(alpha_s, alpha_b, params: ModelParams):
     """The transition table and the stage cost, vectorised.
@@ -145,8 +134,8 @@ def dynamics(alpha_s, alpha_b, params: ModelParams):
     (alpha_s', alpha_b') after action a succeeds, fail the successor after
     either action fails, and cost[a] the stage cost of action a, with a
     indexing Action. Each component keeps the shape of the age array it is
-    computed from. Entries agree with ``stage_cost`` and the scalar
-    ``transition`` of tests/reference.py.
+    computed from. Entries agree with the scalar ``transition`` and
+    ``stage_cost`` of tests/reference.py.
     """
     up_s = np.minimum(np.add(alpha_s, 1), params.a_max)
     up_b = np.minimum(np.add(alpha_b, 1), params.a_max)

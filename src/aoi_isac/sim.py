@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Action, ModelParams, State, dynamics, stage_cost
+from .model import Action, ModelParams, State, dynamics
 
 _OUTCOME_STREAM, _ACTION_STREAM = 0, 1
 # trajectories run together; bounds the working memory whatever n is, at
@@ -429,10 +429,10 @@ def estimate_value(policy, params: ModelParams, s0: State, n: int,
 def trajectory_csv_lines(traj: Trajectory, params: ModelParams) -> list[str]:
     """Per-slot CSV rows (k, alpha_s, alpha_b, action, outcome, stage_cost);
     the terminal state is recoverable from the last row via the dynamics."""
-    lines = ["k,alpha_s,alpha_b,action,outcome,stage_cost"]
-    for k in range(traj.horizon):
-        a_s, a_b = traj.states[k]
-        act = int(traj.actions[k])
-        g = stage_cost((a_s, a_b), act, params)
-        lines.append(f"{k},{a_s},{a_b},{act},{int(traj.outcomes[k])},{g:.17g}")
-    return lines
+    states = traj.states[:traj.horizon]
+    _, _, (sense, comm) = dynamics(states[:, 0], states[:, 1], params)
+    rows = zip(states.tolist(), traj.actions.tolist(), traj.outcomes.tolist(),
+               np.where(traj.actions == Action.COMM, comm, sense).tolist())
+    return ["k,alpha_s,alpha_b,action,outcome,stage_cost"] + [
+        f"{k},{a_s},{a_b},{act},{o},{g:.17g}"
+        for k, ((a_s, a_b), act, o, g) in enumerate(rows)]

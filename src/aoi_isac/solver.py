@@ -143,8 +143,9 @@ def solve(params: ModelParams, tol: float = 1e-9,
     Warm-up: Bellman sweeps from V = 0, each recording the greedy policy of
     the grid it starts from. Jump: at the first sweep whose greedy policy
     equals the previous sweep's, policy iteration from that policy replaces
-    V by the exact value of a policy that is greedy for its own value.
-    Finish: Bellman sweeps from there until the sweep change drops to tol.
+    V by the exact value of a policy greedy for its own value up to
+    rounding. Finish: Bellman sweeps from there until the sweep change
+    drops to tol.
     ``max_iter`` bounds all sweeps; the jump needs one left for the finish,
     so a run cut off or converged before it is value iteration's, bit for
     bit. ``suboptimality_bound`` is gamma / (1 - gamma) times the final
@@ -317,20 +318,32 @@ def evaluate_policy(policy: np.ndarray, params: ModelParams) -> np.ndarray:
     return V
 
 
+# Improvement keeps a state's action where |Q_sense - Q_comm| is within this
+# many ulps of max V (values are >= 0), the rounding of a few operations on
+# values up to max V: switching on such noise cycles where the values dwarf
+# the ages (c_s = c_c = 1e17, gamma = 0.99: V near 1e19, whose ulp is 2048)
+_IMPROVE_SLACK_ULPS = 8
+
+
 def _improve(policy: np.ndarray, params: ModelParams, max_sweeps: int = 1000
              ) -> tuple[np.ndarray, np.ndarray, list[int]]:
     """Policy iteration from ``policy``: alternate exact evaluation with
-    greedy improvement (ties to sense) until the policy is stable. Returns
-    (V, policy, changes), changes holding the number of states each
-    improvement changed, one per evaluation.
+    greedy improvement (comm where Q_sense - Q_comm > 0, the current action
+    where the gap is rounding) until the policy is stable. Returns (V,
+    policy, changes), changes holding the number of states each improvement
+    changed, one per evaluation.
 
-    A finite MDP with a fixed tie rule must stabilise, so exceeding
-    max_sweeps signals an implementation fault and raises.
+    A finite MDP whose improvements each lower the value must stabilise, so
+    exceeding max_sweeps signals an implementation fault and raises.
     """
     changes = []
     while len(changes) < max_sweeps:
         V = evaluate_policy(policy, params)
-        improved = extract_policy(V, params)
+        d = delta_grid(V, params)
+        improved = (d > 0.0).astype(np.int8)
+        within = np.abs(d, out=d) <= _IMPROVE_SLACK_ULPS * np.spacing(V.max())
+        improved[within] = policy[within]
+        del d, within  # the delta grid's block, before the next evaluation
         changes.append(int(np.count_nonzero(improved != policy)))
         if not changes[-1]:
             return V, policy, changes

@@ -1,4 +1,5 @@
-"""References the tests compare the package against: the scalar model, the
+"""References the tests compare the package against: the scalar model
+(``transition``, ``stage_cost``, ``success_prob`` and ``q_value``), the
 dense linear systems built from it state by state, policy iteration from a
 cold start, exhaustive policy enumeration and a scalar Monte Carlo
 trajectory."""
@@ -10,7 +11,7 @@ from enum import IntEnum
 
 import numpy as np
 
-from aoi_isac.model import Action, ModelParams, State, stage_cost
+from aoi_isac.model import Action, ModelParams, State
 from aoi_isac.sim import AlternatingPolicy, RandomCommPolicy
 from aoi_isac.solver import _improve, extract_policy
 
@@ -39,11 +40,21 @@ def transition(state: State, action: Action | int, outcome: Outcome | int,
     return (min(nxt_s, cap), min(nxt_b, cap))
 
 
+def success_prob(params: ModelParams, action: Action | int) -> float:
+    """Success probability of the action's link: lambda_c or lambda_s."""
+    return params.lambda_c if action == Action.COMM else params.lambda_s
+
+
+def stage_cost(state: State, action: Action | int, params: ModelParams) -> float:
+    """Per-slot cost: source age plus the activation cost of the action."""
+    return state[0] + (params.c_c if action == Action.COMM else params.c_s)
+
+
 def q_value(V: np.ndarray, state: State, action: Action | int,
             params: ModelParams) -> float:
     """Action value: stage cost plus the discounted two-point expectation of V."""
     V = np.asarray(V)
-    p = params.success_prob(action)
+    p = success_prob(params, action)
     v_succ = V[transition(state, action, Outcome.SUCCESS, params)]
     v_fail = V[transition(state, action, Outcome.FAIL, params)]
     return stage_cost(state, action, params) + params.gamma * (p * v_succ + (1.0 - p) * v_fail)
@@ -66,7 +77,7 @@ def _linear_systems(policies: np.ndarray, params: ModelParams):
     P = np.zeros((2, n * n, n * n))
     cost = np.zeros((2, n * n))
     for a, (k, state) in itertools.product(Action, enumerate(states)):
-        p = params.success_prob(a)
+        p = success_prob(params, a)
         # the two successors coincide at saturation; both weights land
         for outcome, weight in ((Outcome.SUCCESS, p), (Outcome.FAIL, 1.0 - p)):
             a_s, a_b = transition(state, a, outcome, params)
@@ -78,9 +89,9 @@ def _linear_systems(policies: np.ndarray, params: ModelParams):
 
 def policy_iteration(params: ModelParams) -> tuple[np.ndarray, np.ndarray]:
     """Policy iteration from the greedy policy of V = 0: alternate exact
-    evaluation (``evaluate_policy``) with greedy improvement (ties to sense)
-    until the policy is stable; returns (V, policy). Raises RuntimeError
-    after 1000 evaluations (``_improve``'s bound)."""
+    evaluation (``evaluate_policy``) with greedy improvement (``_improve``'s
+    rule) until the policy is stable; returns (V, policy). Raises
+    RuntimeError after 1000 evaluations (``_improve``'s bound)."""
     policy = extract_policy(np.zeros(params.grid_shape), params)
     V, policy, _ = _improve(policy, params)
     return V, policy
@@ -156,7 +167,7 @@ def scalar_trajectory(policy, params: ModelParams, s0: State, horizon: int,
             a = k % 2
         else:
             a = int(u_act[k] < policy.p)
-        o = int(u_out[k] < params.success_prob(a))
+        o = int(u_out[k] < success_prob(params, a))
         cost += gamma_pow * stage_cost(state, a, params)
         gamma_pow *= params.gamma
         state = transition(state, a, o, params)

@@ -22,14 +22,14 @@ import pytest
 
 from aoi_isac import gridio
 from aoi_isac.cli import main
-from aoi_isac.model import Action, ModelParams, delta_grid, q_grids, stage_cost
+from aoi_isac.model import Action, ModelParams, delta_grid, q_grids
 from aoi_isac.sim import baseline_policy, estimate_value, rollout
 from aoi_isac.solver import extract_thresholds, value_iteration
 from aoi_isac.structure import (check_delta_monotone, check_monotone,
                                 check_q_submodular, check_single_crossing,
                                 check_submodular, check_threshold_monotone)
 from reference import (Outcome, delta, exhaustive_policy_oracle,
-                       policy_iteration, transition)
+                       policy_iteration, stage_cost, success_prob, transition)
 
 IV = dict(lambda_s=0.6, lambda_c=0.9, c_s=0.2, c_c=0.1, gamma=0.95)
 REFERENCE = ModelParams(**IV, a_max=30)
@@ -115,7 +115,7 @@ def _exact_policy_value(policy, p):
     rows = []
     for s in states:
         act = Action(int(policy[s]))
-        lam = p.success_prob(act)
+        lam = success_prob(p, act)
         row = [Fraction(0)] * n + [stage_cost(s, act, p)]
         row[col[s]] += 1
         row[col[transition(s, act, Outcome.SUCCESS, p)]] -= p.gamma * lam
@@ -139,7 +139,7 @@ def test_exact_cross_differences_small_instance():
     V = _exact_policy_value(policy, p)
 
     def q(s, act):
-        lam = p.success_prob(act)
+        lam = success_prob(p, act)
         return stage_cost(s, act, p) + p.gamma * (
             lam * V[transition(s, act, Outcome.SUCCESS, p)]
             + (1 - lam) * V[transition(s, act, Outcome.FAIL, p)])

@@ -49,6 +49,16 @@ def test_solve_writes_all_artifacts(tmp_path):
     assert pgm[0] == "P2" and pgm[1] == "9 9" and pgm[2] == "255"
 
 
+def test_solve_at_costs_beyond_the_age_resolution_exits_0(tmp_path):
+    # values near 1e19, whose ulp of 2048 hides every age difference
+    assert run(tmp_path, "solve", "--model.c_s", "1e17", "--model.c_c", "1e17",
+               "--model.gamma", "0.99") == 0
+    report = json.loads(read_bytes(tmp_path, "solve_report.json"))
+    assert report["converged"] is True
+    V, _ = gridio.read_grid_csv(tmp_path / "out" / "value.csv")
+    assert np.all(np.isfinite(V)) and V.shape == (31, 31)
+
+
 def test_solve_report_json_leaves_out_the_residual_trace(tmp_path):
     assert run(tmp_path, "solve", *small_flags()) == 0
     report = json.loads(read_bytes(tmp_path, "solve_report.json"))

@@ -6,10 +6,9 @@ import numpy as np
 import pytest
 
 from aoi_isac.model import (MAX_VALUE_BOUND, Action, ModelParams,
-                            _backup_tables, delta_grid, dynamics, q_grids,
-                            stage_cost)
+                            _backup_tables, delta_grid, dynamics, q_grids)
 from aoi_isac.solver import bellman_backup
-from reference import Outcome, delta, q_value, transition
+from reference import Outcome, delta, q_value, stage_cost, transition
 
 IV = dict(lambda_s=0.6, lambda_c=0.9, c_s=0.2, c_c=0.1, gamma=0.95)
 

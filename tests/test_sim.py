@@ -8,11 +8,11 @@ import numpy as np
 import pytest
 
 from aoi_isac import gridio, sim
-from aoi_isac.model import Action, ModelParams, dynamics, stage_cost
+from aoi_isac.model import Action, ModelParams, dynamics
 from aoi_isac.sim import (_PCG64Lanes, baseline_policy, estimate_value,
                           rollout, trajectory_csv_lines, truncation_bias_bound)
 from aoi_isac.solver import solve, value_iteration
-from reference import scalar_trajectory, transition
+from reference import scalar_trajectory, stage_cost, success_prob, transition
 
 IV = dict(lambda_s=0.6, lambda_c=0.9, c_s=0.2, c_c=0.1, gamma=0.95)
 
@@ -205,6 +205,20 @@ def test_trajectory_csv_matches_hand_rollout():
         cells = line.split(",")
         assert tuple(int(c) for c in cells[:5]) == row[:5]
         assert float(cells[5]) == row[5]  # 17 sig digits: lossless
+
+
+@pytest.mark.parametrize("kind", ["optimal", "alternate", "random_bernoulli",
+                                  "always_comm"])
+def test_trajectory_csv_costs_sum_to_the_simulated_cost(kind):
+    p = make()
+    policy = (solve(p)[1] if kind == "optimal"
+              else baseline_policy(kind, p, p=0.3))
+    traj = estimate_value(policy, p, (1, 1), n=2, horizon=400, seed=1).trajectory
+    cost, gamma_pow = 0.0, 1.0
+    for line in trajectory_csv_lines(traj, p)[1:]:
+        cost += float(line.split(",")[5]) * gamma_pow
+        gamma_pow *= p.gamma
+    assert cost == traj.discounted_cost
 
 
 def numpy_stream(root, key, which, horizon):
@@ -443,7 +457,7 @@ def test_key_tables_follow_the_dynamics_state_by_state(a_max):
             key = 2 * (a_s * n + a_b) + a
             succ, fail, cost = dynamics(a_s, a_b, params)
             assert stage[key] == cost[a]
-            assert threshold[key] == math.ceil(params.success_prob(a) * 2 ** 53)
+            assert threshold[key] == math.ceil(success_prob(params, a) * 2 ** 53)
             for o, nxt in ((0, fail), (1, succ[a])):
                 nxt = (int(nxt[0]), int(nxt[1]))
                 assert (successor[2 * key + o]

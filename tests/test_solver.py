@@ -568,3 +568,16 @@ def test_policy_improvement_bound_raises():
     V_pi, policy_pi = policy_iteration(p)
     assert np.array_equal(policy, policy_pi) and np.allclose(V, V_pi)
     assert len(changes) >= 2 and changes[-1] == 0 and changes[0] > 0
+
+
+@pytest.mark.parametrize("c, gamma, a_max", [
+    (1e17, 0.5, 30), (1e17, 0.99, 30), (1e17, 0.99, 300), (1e17, 0.999, 300),
+    (1e30, 0.9, 30), (1e40, 0.999, 30), (1e149, 0.5, 30)])
+def test_solve_settles_where_the_action_gaps_are_rounding(c, gamma, a_max):
+    # equal costs so large that every age difference is below an ulp of V:
+    # an improvement that switched states on the gaps' rounding would cycle
+    p = make(a_max=a_max, c_s=c, c_c=c, gamma=gamma)
+    V, _, rep = solve(p)
+    assert rep.converged and np.all(np.isfinite(V))
+    assert rep.policy_changes and rep.policy_changes[-1] == 0
+    assert len(rep.policy_changes) <= 10
