@@ -33,14 +33,17 @@
 # A leg at huge costs, c_s=c_c=1e140 (gamma=0.95, a_max=30), runs `solve`,
 # `verify`, `simulate` (seed 1) under random_bernoulli:0.3 and `sweep` of
 # c_s over 1e140,1e145: values of about 2e141 send every value.csv row
-# through the "%.17g" rows, and verify and sweep exit 0 there.
+# through the "%.17g" format, and verify and sweep exit 0 there. A leg
+# at gamma=1e-6 and no costs runs `solve` and `verify` at a_max 30 and
+# 300: value.csv's row 0 is about 1e-6, below the 17-digit kernel's range,
+# and the rows after it are in it, so the writer's first block mixes both.
 # Each command's exit code is appended to exit_codes.txt in the compared
 # tree. Exits 0 when every artifact and exit code is identical, 1 when one
 # differs.
 set -euo pipefail
 
 if [ $# -ne 3 ]; then
-    sed -n '2,39p' "$0" >&2
+    sed -n '2,/^set -euo pipefail$/{/^set/!p}' "$0" >&2
     exit 2
 fi
 base=$(cd "$1" && pwd)
@@ -144,6 +147,12 @@ run_side() {
             --output.directory=edges/c_1e140-random_bernoulli_0.3
         aoi sweep --axis=c_s --values=1e140,1e145 "${huge[@]}" \
             --output.directory=edges/c_1e140_sweep
+        for a_max in 30 300; do
+            tiny=("${model[@]}" --model.gamma=1e-6 --model.c_s=0 --model.c_c=0
+                  --model.a_max="$a_max")
+            aoi solve "${tiny[@]}" --output.directory="edges/gamma_1e-6-$a_max"
+            aoi verify "${tiny[@]}" --output.directory="edges/gamma_1e-6-$a_max"
+        done
     )
 }
 

@@ -9,20 +9,20 @@ reproduces identical bytes.
 
 One rule gives every grid's text: a CSV cell is fmt_real of the cell, and
 a PGM level is the cell's place in the grid's range, 0..255. A bool or
-integer grid whose cells are all 0 or 1 (a policy) is written as an (n, 2n)
-uint8 array of commas and the digits fmt_real writes. Any other grid goes
-through an exact array kernel. For each cell it computes the 17
+integer grid whose cells are all 0 or 1 (a policy) is written as an
+(n, 2n + 1) uint8 array of commas, the digits fmt_real writes and
+newlines. Any other grid goes in blocks of whole rows of at most
+_CELLS_PER_BLOCK cells, so its working memory is bounded whatever a_max
+is, through an exact array kernel. For each cell it computes the 17
 significant digits of "%.17g" as one integer, round_half_even(m 5^k
 2^(e + k)) for x = m 2^e, from uint64 arithmetic (P mod 2^64) and a
 float64 estimate of the high bits: the fixed-precision conversion of
 Adams, "Ryu revisited: printf floating point conversion" (OOPSLA 2019), on
 arrays. The digits, the dot and the sign go into a fixed-width byte array,
 and one mask keeps the columns that "%.17g" writes. It covers 0, -0.0 and
-magnitudes in [1e-4, 1e16), where "%.17g" uses fixed notation; a row
+magnitudes in [1e-4, 1e16), where "%.17g" uses fixed notation; a block
 holding any other cell (1e16, 5e-324, nan, 2^62) is written by one
-precomposed "%.17g" format over the row's float64 values. The kernel
-works on blocks of whole rows of at most _CELLS_PER_BLOCK cells, so its
-working memory is bounded whatever a_max is. The PGM writer looks each
+precomposed "%.17g" format over its values. The PGM writer looks each
 level's text up in a byte table and drops the padding with one mask; a
 grid that is not finite, or whose range overflows, raises ValueError.
 
@@ -32,10 +32,10 @@ does; so an error names the first malformed line in file order. A row at
 a time, not the whole grid in one call: that would hold every cell's
 string at once, about 5 MB more at a_max=300.
 
-The integer reader takes a line that is exactly its row index and n cells
+The policy reader takes a line that is exactly its row index and n cells
 of "0" or "1" between commas with np.frombuffer, and any other line as
-above. The readers keep their integer flag: the text of value.csv's real
-1.0 and of policy.csv's action 1 is the same "1".
+above. The two readers share _read_grid and its integer flag: the text of
+value.csv's real 1.0 and of policy.csv's action 1 is the same "1".
 
 JSON reports are json.dumps(obj, indent=2, sort_keys=True) byte for byte,
 but that call always runs json's pure-Python encoder. write_json recurses
@@ -62,8 +62,9 @@ GLYPHS = np.frombuffer(b"SC", dtype=np.uint8)
 _JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
 _JSON_LISTS = frozenset({list, tuple})
 
-# Cells that one block of the 17-digit kernel handles (whole rows, at least
-# one); bounds its working memory, about 150 bytes a cell, whatever a_max is.
+# Cells, the row index column included, in one block of the real-grid writer
+# (whole rows, at least one); bounds the 17-digit kernel's working memory,
+# about 150 bytes a cell, whatever a_max is.
 _CELLS_PER_BLOCK = 1 << 14
 # exact in their dtypes for every exponent k the kernel uses (0..21)
 _POW5 = np.array([5 ** k for k in range(23)], dtype=np.uint64)
@@ -164,40 +165,38 @@ def grid_csv_text(grid: np.ndarray, comments: list[str] = ()) -> str:
     n = grid.shape[0]
     if grid.shape != (n, n):
         raise ValueError(f"grid must be square, got shape {grid.shape}")
-    lines = [f"# {c}" for c in comments]
-    lines.append(",".join([CORNER] + [str(j) for j in range(n)]))
     if grid.dtype.kind in "biu" and ((grid == 0) | (grid == 1)).all():
         # a 0/1 grid as bytes: each row's cells are "," and "0" or "1"
-        body = np.full((n, 2 * n), ord(","), dtype=np.uint8)
-        body[:, 1::2] = ord("0") + (grid != 0)
-        lines += [str(i) + row.tobytes().decode("ascii")
-                  for i, row in enumerate(body)]
+        body = np.full((n, 2 * n + 1), ord(","), dtype=np.uint8)
+        np.add(grid != 0, np.uint8(ord("0")), out=body[:, 1::2])
+        body[:, -1] = ord("\n")
+        rows = [str(i) + row.tobytes().decode("ascii") for i, row in enumerate(body)]
+        del body  # before the join: the rows, the text and body are three copies
     else:
-        lines += _real_lines(grid)
-    return "\n".join(lines) + "\n"
+        rows = _real_blocks(grid)
+    header = ",".join([CORNER] + [str(j) for j in range(n)]) + "\n"
+    return "".join(chain((f"# {c}\n" for c in comments), [header], rows))
 
 
-def _real_lines(grid: np.ndarray) -> list[str]:
-    """The data lines of a real grid, as fmt_real writes its cells.
-
-    The cells are read as float64, as fmt_real reads them. A row whose
+def _real_blocks(grid: np.ndarray):
+    """The data lines of a real grid, as fmt_real writes its cells, in
+    blocks of whole rows: each one float64 array whose column 0 is the row
+    index, an integer whose "%.17g" text is its "%d" text. A block whose
     cells are all 0 or between 1e-4 and 1e16 in magnitude goes through the
-    17-digit kernel, a block of rows at a time; any other row through one
-    precomposed "%.17g" format.
+    17-digit kernel, any other through one precomposed "%.17g" format.
     """
     n = grid.shape[0]
-    row_fmt = ",".join(["%d"] + ["%.17g"] * n)
-    lines = []
-    step = max(1, _CELLS_PER_BLOCK // max(n, 1))
+    row_fmt = ",".join(["%.17g"] * (n + 1)) + "\n"
+    step = max(1, _CELLS_PER_BLOCK // (n + 1))
     for lo in range(0, n, step):
-        x = grid[lo:lo + step].astype(np.float64, copy=False)
+        x = np.empty((min(step, n - lo), n + 1))
+        x[:, 0] = np.arange(lo, lo + len(x))
+        x[:, 1:] = grid[lo:lo + len(x)]
         a = np.abs(x)
-        fixed = (((a >= 1e-4) & (a < 1e16)) | (a == 0)).all(axis=1)
-        texts = iter(_fixed17_text(x[fixed]).split("\n") if fixed.any() else ())
-        for i, ok in enumerate(fixed.tolist()):
-            lines.append(f"{lo + i}," + next(texts) if ok
-                         else row_fmt % (lo + i, *x[i].tolist()))
-    return lines
+        if (((a >= 1e-4) & (a < 1e16)) | (a == 0)).all():
+            yield _fixed17_text(x)
+        else:
+            yield (row_fmt * len(x)) % tuple(x.ravel().tolist())
 
 
 def _fixed17_text(x: np.ndarray) -> str:
@@ -298,19 +297,19 @@ def write_grid_csv(path, grid: np.ndarray, comments: list[str] = ()) -> None:
     Path(path).write_text(grid_csv_text(grid, comments))
 
 
-def read_grid_csv(path, integer: bool = False) -> tuple[np.ndarray, list[str]]:
-    """Parse a grid CSV back into an array plus its comment lines.
+def read_grid_csv(path) -> tuple[np.ndarray, list[str]]:
+    """Parse a real grid CSV back into an array plus its comment lines.
 
-    Cells are read as float() or int() reads them. Malformed content, a
-    non-finite real cell included, raises ValueError naming the offending
-    line number.
+    Cells are read as float() reads them. Malformed content, a non-finite
+    cell included, raises ValueError naming the offending line number.
     """
-    grid, comments, _ = _read_grid(Path(path), integer)
+    grid, comments, _ = _read_grid(Path(path), False)
     return grid, comments
 
 
 def _read_grid(path: Path, integer: bool):
-    """read_grid_csv's grid and comments, plus each grid row's line number."""
+    """A grid CSV's grid, read as int() (integer) or float() reads its
+    cells, and its comments, plus each grid row's line number."""
     dtype = np.int64 if integer else float
     comments = []
     rows = []

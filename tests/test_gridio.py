@@ -12,11 +12,13 @@ writer's reference is json.dumps(obj, indent=2, sort_keys=True).
 import enum
 import json
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from aoi_isac import cli, gridio
+from aoi_isac import cli, gridio, solver
+from aoi_isac.model import ModelParams
 
 SPECIAL = [-0.0, 5e-324, 0.1, 1e17, 1e300, -1e300, 1 / 3, 2.0**53 + 2, -7.0]
 
@@ -57,6 +59,11 @@ def map_per_cell(policy, comments=()):
 def real_grids():
     rng = np.random.default_rng(7)
     special = np.array(SPECIAL * 4)[:36].reshape(6, 6)
+    # one row below the kernel's 1e-4 among rows it takes (as a value grid
+    # at gamma = 1e-6 and no costs has at alpha_s = 0): their block mixes
+    # both formats
+    mixed_block = rng.uniform(1.0, 1e3, size=(5, 5))
+    mixed_block[2] = 1.000002e-06
     return {
         "special": special,
         "special_negated": -special,
@@ -65,6 +72,7 @@ def real_grids():
         "float32": rng.normal(size=(4, 4)).astype(np.float32),
         "int64_as_real": rng.integers(-2**62, 2**62, size=(5, 5)),
         "one_cell": np.array([[5e-324]]),
+        "mixed_block": mixed_block,
     }
 
 
@@ -143,7 +151,7 @@ def test_adversarial_real_csv_matches_per_cell_formatting(name):
 
 def test_grid_larger_than_a_block_round_trips_bit_for_bit(tmp_path):
     n = 150
-    step = gridio._CELLS_PER_BLOCK // n
+    step = gridio._CELLS_PER_BLOCK // (n + 1)  # rows, with the index column
     assert 0 < step < n  # a block edge falls mid-grid
     grid = np.random.default_rng(21).normal(scale=100.0, size=(n, n))
     # "%.17g" rows on both sides of the block edge
@@ -153,6 +161,29 @@ def test_grid_larger_than_a_block_round_trips_bit_for_bit(tmp_path):
     assert path.read_text() == csv_per_cell(grid, ["c"])
     back, comments = gridio.read_grid_csv(path)
     assert back.tobytes() == grid.tobytes() and comments == ["c"]
+
+
+@pytest.fixture(scope="module")
+def large_solve():
+    params = ModelParams(lambda_s=0.6, lambda_c=0.9, c_s=0.2, c_c=0.1,
+                         gamma=0.95, a_max=300)
+    V, policy, _ = solver.solve(params)
+    return {"value.csv": V, "policy.csv": policy}
+
+
+@pytest.mark.parametrize("name", ["value.csv", "policy.csv"])
+def test_grid_writer_peaks_below_two_and_a_half_texts(tmp_path, large_solve, name):
+    """write_grid_csv of a solved a_max=300 grid holds the text's blocks
+    and their join, then the text and its bytes: about two copies, and the
+    kernel's or the digits' working memory on top."""
+    path = tmp_path / name
+    tracemalloc.start()
+    try:
+        gridio.write_grid_csv(path, large_solve[name], ["c"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * path.stat().st_size
 
 
 def test_special_reals_round_trip_bit_for_bit(tmp_path):
@@ -236,9 +267,9 @@ def test_reader_accepts_exactly_what_float_and_int_accept(tmp_path, cell, intege
     want = reference_cell(cell, integer)
     if want is None:
         with pytest.raises(ValueError, match=f"g.csv:{lineno}: "):
-            gridio.read_grid_csv(path, integer=integer)
+            gridio._read_grid(path, integer)
     else:
-        grid, comments = gridio.read_grid_csv(path, integer=integer)
+        grid, comments, _ = gridio._read_grid(path, integer)
         assert grid[1, 1] == want and grid.sum() == 8 + want
         assert grid.dtype == (np.int64 if integer else np.float64)
         assert comments == ["comment"]
@@ -251,7 +282,7 @@ def test_bad_cell_names_its_line_in_any_row(tmp_path, integer, row):
     path = tmp_path / "g.csv"
     path.write_text(text)
     with pytest.raises(ValueError, match=f"g.csv:{lineno}: bad cell value"):
-        gridio.read_grid_csv(path, integer=integer)
+        gridio._read_grid(path, integer)
 
 
 def test_integer_cell_beyond_int64_names_its_line(tmp_path):
@@ -259,7 +290,7 @@ def test_integer_cell_beyond_int64_names_its_line(tmp_path):
     path = tmp_path / "p.csv"
     path.write_text(text)
     with pytest.raises(ValueError, match=f"p.csv:{lineno}: bad cell value"):
-        gridio.read_grid_csv(path, integer=True)
+        gridio._read_grid(path, True)
 
 
 def good_lines(n=3):
@@ -292,7 +323,7 @@ def test_reader_reports_the_first_fault_in_file_order(tmp_path):
     lines[4] = "1,0,oops,0,0"   # bad cell on line 5
     lines[6] = "3,0,0"          # short row on line 7
     with pytest.raises(ValueError, match="g.csv:5: bad cell value"):
-        gridio.read_grid_csv(write(tmp_path, lines), integer=True)
+        gridio._read_grid(write(tmp_path, lines), True)
 
 
 def test_reader_counts_rows_after_checking_them(tmp_path):
@@ -308,7 +339,7 @@ def test_reader_counts_rows_after_checking_them(tmp_path):
 def test_reader_skips_blank_and_comment_lines_between_rows(tmp_path):
     lines = good_lines()
     lines[4:4] = ["", "# between rows", "   "]
-    grid, comments = gridio.read_grid_csv(write(tmp_path, lines), integer=True)
+    grid, comments, _ = gridio._read_grid(write(tmp_path, lines), True)
     assert grid.shape == (3, 3) and comments == ["a", "b", "between rows"]
     lines[-1] = "2,0,nan,0"
     with pytest.raises(ValueError, match="g.csv:9: non-finite"):
@@ -326,7 +357,7 @@ def test_reader_requires_column_labels_0_to_n_minus_1(tmp_path, header):
     lines = good_lines()
     lines[2] = header
     with pytest.raises(ValueError, match="g.csv:3: expected column labels 0..2"):
-        gridio.read_grid_csv(write(tmp_path, lines), integer=True)
+        gridio._read_grid(write(tmp_path, lines), True)
 
 
 def zero_one_grids():
