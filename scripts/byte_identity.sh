@@ -15,11 +15,13 @@
 # the solver's edges follow: `solve` and `verify` at the smallest grid
 # (a_max=2), `solve` at the large grid a_max=1000 (a 1,002,001-cell
 # value.csv and PGM, which the real-grid writer takes in many blocks),
-# `solve` at gamma=0.999 (a_max=30, about 22,000 sweeps) with
-# `sweep` of gamma over 0.99,0.999, and a `solve` cut off by
-# --solver.max_iter=5 (exit 3, partial artifacts). Then `solve` and `verify`
-# at the edges of the backup's per-action constants (a_max=30): gamma=0 (two
-# sweeps), lambda_s=1 lambda_c=0 (success probabilities 1 and 0, the
+# `solve` at gamma=0.999 (a_max=30, 8 sweeps and one policy evaluation)
+# with `sweep` of gamma over 0.99,0.999, a `solve` cut off by
+# --solver.max_iter=5, before the jump to policy iteration, and one cut off
+# after it by --solver.tol=1e-15 --solver.max_iter=10 (both exit 3 with
+# partial artifacts). Then `solve` and `verify` at the edges of the
+# backup's per-action constants (a_max=30): gamma=0 (two sweeps),
+# lambda_s=1 lambda_c=0 (success probabilities 1 and 0, the
 # reversed ordering), lambda_s=0 lambda_c=1 and c_s=0 c_c=0; at the two
 # link edges `simulate` (seed 1) also runs under the optimal, alternate and
 # random_bernoulli:0.3 policies. At the large grid (a_max=300) `simulate`
@@ -116,6 +118,9 @@ run_side() {
             --model.gamma=0.95 --model.a_max=30 --output.directory=edges/sweep_gamma
         aoi solve "${model[@]}" --model.gamma=0.95 --model.a_max=30 \
             --solver.max_iter=5 --output.directory=edges/max_iter_5
+        aoi solve "${model[@]}" --model.gamma=0.95 --model.a_max=30 \
+            --solver.tol=1e-15 --solver.max_iter=10 \
+            --output.directory=edges/max_iter_10_after_jump
         for edge in gamma=0 lambda_s=1,lambda_c=0 lambda_s=0,lambda_c=1 \
                     c_s=0,c_c=0; do
             local flags=()

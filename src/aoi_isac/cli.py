@@ -1,9 +1,9 @@
 """Command-line entry point: solve / verify / simulate / sweep.
 
 Configuration comes from one JSON document plus dotted-name flags
-(--model.gamma 0.9 beats the file); AOI_ISAC_OUTPUT_DIR overrides the output
-directory between the two. All artifacts embed the resolved config and are
-byte-identical across reruns with the same config and seed.
+(--model.gamma 0.9 beats the file). Every artifact but trajectory.csv and
+value_surface.pgm embeds the resolved config, and all are byte-identical
+across reruns with the same config and seed.
 
 Exit codes: 0 success, 2 invalid config or input, 3 non-convergence,
 4 verification failure.
@@ -15,7 +15,6 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
 from pathlib import Path
 
@@ -47,11 +46,8 @@ def _add_config_flags(p: argparse.ArgumentParser):
 
 def _resolve_config(args) -> RunConfig:
     file_values = load_config_file(args.config) if args.config else None
-    overrides = {}
-    if "AOI_ISAC_OUTPUT_DIR" in os.environ:
-        overrides["output.directory"] = os.environ["AOI_ISAC_OUTPUT_DIR"]
-    overrides |= {dotted: val for dotted, val in vars(args).items()
-                  if dotted in FIELDS and val is not None}
+    overrides = {dotted: val for dotted, val in vars(args).items()
+                 if dotted in FIELDS and val is not None}
     return build_config(file_values, overrides)
 
 

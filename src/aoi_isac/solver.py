@@ -161,26 +161,22 @@ def solve(params: ModelParams, tol: float = 1e-9,
     grids = np.zeros((3,) + params.grid_shape)
     V, Q = grids[0], grids[1:]
     greedy = np.empty((2,) + params.grid_shape, dtype=bool)  # this sweep's, the last one's
-    sweep_deltas = []
+    sweep_deltas, policy_changes = [], []
     while len(sweep_deltas) < max_iter:
         k = len(sweep_deltas)
-        sweep_deltas.append(_sweep(V, params, Q, greedy=greedy[k % 2]))
-        if sweep_deltas[-1] <= tol or (k and np.array_equal(*greedy)):
+        sweep_deltas.append(_sweep(V, params, Q,
+                                   greedy=None if policy_changes else greedy[k % 2]))
+        if sweep_deltas[-1] <= tol:
             break
-    policy_changes = []
-    if sweep_deltas[-1] <= tol or len(sweep_deltas) == max_iter:
+        if not policy_changes and k and k + 1 < max_iter and np.array_equal(*greedy):
+            # the greedy policy settled and a sweep is left to finish: jump
+            policy = greedy[k % 2].astype(np.int8)
+            V = Q = grids = greedy = None  # the evaluations never hold the sweep grids
+            V, _, policy_changes = _improve(policy, params)
+            Q = np.empty((2,) + params.grid_shape)
+    if not policy_changes:
         V = V.copy()  # one grid for the caller, not the block
-        del Q, grids, greedy
-    else:  # the greedy policy settled: jump
-        policy = greedy[k % 2].astype(np.int8)
-        del V, Q, grids, greedy  # the evaluations never hold the sweep grids
-        V, _, policy_changes = _improve(policy, params)
-        Q = np.empty((2,) + params.grid_shape)
-        while len(sweep_deltas) < max_iter:
-            sweep_deltas.append(_sweep(V, params, Q))
-            if sweep_deltas[-1] <= tol:
-                break
-        del Q
+    del Q, grids, greedy
     report = _report(params, start, sweep_deltas, tol, policy_changes)
     return V, extract_policy(V, params), report
 

@@ -269,13 +269,6 @@ def test_every_config_leaf_has_a_flag():
     assert SWEEP_AXES == ("lambda_s", "lambda_c", "c_s", "c_c", "gamma")
 
 
-def test_output_dir_env_override(tmp_path, monkeypatch):
-    env_dir = tmp_path / "from_env"
-    monkeypatch.setenv("AOI_ISAC_OUTPUT_DIR", str(env_dir))
-    assert main(["solve", *small_flags(6)]) == 0
-    assert (env_dir / "value.csv").exists()
-
-
 def test_verify_in_process_and_from_artifacts(tmp_path):
     # full suite fails (solved grids are not submodular along the switching
     # curve), so verify exits 4 while the bundle shows the passing subset

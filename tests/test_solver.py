@@ -21,6 +21,12 @@ def make(a_max=30, **overrides):
     return ModelParams(**{**IV, **overrides, "a_max": a_max})
 
 
+def assert_own_grid(V, p):
+    """V is a C-order grid of p's shape that owns its memory: no view of
+    a solver's scratch block."""
+    assert V.flags.owndata and V.flags.c_contiguous and V.shape == p.grid_shape
+
+
 def test_backup_of_zero_is_myopic_cost():
     p = make(a_max=6)
     W = bellman_backup(np.zeros(p.grid_shape), p)
@@ -140,7 +146,7 @@ def test_value_iteration_returns_v_as_a_grid_of_its_own(max_iter):
     p = make(a_max=6)
     V, policy, rep = value_iteration(p, tol=1e-12, max_iter=max_iter)
     assert rep.iterations == max_iter
-    assert V.flags.owndata and V.flags.c_contiguous and V.shape == p.grid_shape
+    assert_own_grid(V, p)
     ref = np.zeros(p.grid_shape)
     for _ in range(max_iter):
         ref = bellman_backup(ref, p)
@@ -531,7 +537,22 @@ def test_solve_cut_off_before_the_jump_is_value_iteration(max_iter):
     assert np.array_equal(V, V_vi) and np.array_equal(policy, policy_vi)
     assert rep.iterations == rep_vi.iterations == max_iter
     assert rep.sweep_deltas == rep_vi.sweep_deltas
+    assert_own_grid(V, p)
     assert solve(p, tol=1e-9, max_iter=8)[2].policy_changes == [0]
+
+
+def test_solve_cut_off_after_the_jump_finishes_from_the_policy_value():
+    # the policy of 6 sweeps settles at sweep 7 and the jump follows; 3
+    # finishing sweeps fit in max_iter=10, and tol=1e-15 is out of reach
+    p = make(a_max=30)
+    V, policy, rep = solve(p, tol=1e-15, max_iter=10)
+    assert not rep.converged and rep.iterations == 10
+    assert rep.policy_changes == [0]
+    assert_own_grid(V, p)
+    W, _, _ = _improve(value_iteration(p, max_iter=6)[1], p)
+    for _ in range(3):
+        W = bellman_backup(W, p)
+    assert np.array_equal(V, W) and np.array_equal(policy, extract_policy(W, p))
 
 
 def test_solve_zero_discount_converges_in_two_sweeps_without_a_jump():
@@ -540,6 +561,7 @@ def test_solve_zero_discount_converges_in_two_sweeps_without_a_jump():
     V_vi, _, _ = value_iteration(p)
     assert rep.converged and rep.iterations == 2 and rep.policy_changes == []
     assert np.array_equal(V, V_vi) and np.all(policy == Action.COMM)
+    assert_own_grid(V, p)
 
 
 def test_solve_jumps_once_the_greedy_policy_settles():
@@ -550,6 +572,7 @@ def test_solve_jumps_once_the_greedy_policy_settles():
     # the jump lands on a fixed point up to rounding, so one finishing
     # sweep meets the tolerance
     assert rep.final_sweep_delta < 1e-11 < rep.sweep_deltas[-2]
+    assert_own_grid(V, p)
 
 
 def test_solve_input_validation():
