@@ -29,7 +29,11 @@
 # policies: the simulator's tables then stop at age max(s0) + horizon,
 # below a_max. A leg on the policy reader's general path copies the
 # reference solve with one policy.csv row rewritten as "+1" and " 0"
-# cells, and runs `simulate --policy-file` and `verify` on it. A
+# cells, and runs `simulate --policy-file` and `verify` on it. A leg on
+# the value reader's line path copies the reference solve with value.csv
+# rows rewritten into text no write produces (row 3's cells cut to four
+# decimals, a 1.5e1 cell in row 7, a "+" sign in row 9), which the array
+# parser turns down, and runs `verify` on it. A
 # leg at the action draw's threshold edges, 0 and 2^53, runs `simulate`
 # (seed 1, reference config) under random_bernoulli:0 and random_bernoulli:1.
 # A leg at huge costs, c_s=c_c=1e140 (gamma=0.95, a_max=30), runs `solve`,
@@ -102,6 +106,14 @@ run_side() {
         aoi simulate --policy-file=edges/signed_cells/policy.csv "${reference[@]}" \
             --sim.seed=1 --output.directory=edges/signed_cells_simulate
         aoi verify "${reference[@]}" --output.directory=edges/signed_cells
+        # the value reader's line path: value.csv rows in text that float()
+        # reads but no write produces
+        mkdir -p edges/rewritten_values
+        cp reference/solve/policy.csv edges/rewritten_values/
+        sed -E -e '/^3,/s/([0-9]+\.[0-9]{4})[0-9]*/\1/g' \
+               -e '/^7,/s/^7,[^,]*/7,1.5e1/' -e '/^9,/s/,([0-9])/,+\1/' \
+            reference/solve/value.csv > edges/rewritten_values/value.csv
+        aoi verify "${reference[@]}" --output.directory=edges/rewritten_values
         for policy in random_bernoulli:0 random_bernoulli:1; do
             aoi simulate --policy="$policy" "${reference[@]}" --sim.seed=1 \
                 --output.directory="edges/${policy/:/_}"

@@ -26,16 +26,25 @@ precomposed "%.17g" format over its values. The PGM writer looks each
 level's text up in a byte table and drops the padding with one mask; a
 grid that is not finite, or whose range overflows, raises ValueError.
 
-The readers check each data line's length and index, then convert its
-cells with one numpy call, which reads every cell as float() or int()
-does; so an error names the first malformed line in file order. A row at
-a time, not the whole grid in one call: that would hold every cell's
-string at once, about 5 MB more at a_max=300.
-
-The policy reader takes a line that is exactly its row index and n cells
-of "0" or "1" between commas with np.frombuffer, and any other line as
-above. The two readers share _read_grid and its integer flag: the text of
-value.csv's real 1.0 and of policy.csv's action 1 is the same "1".
+The two readers share _read_grid and its integer flag (the text of
+value.csv's real 1.0 and of policy.csv's action 1 is the same "1"), which
+has two paths. An array parser reads a file in the writers' layout, with
+no strtod: its blocks of whole rows are numpy arrays of the file's bytes,
+where one scan finds the separators, signs and dots, each cell's last 8,
+16 or 24 bytes are gathered as little-endian words, and SWAR
+multiply-shifts (Lemire, "Number parsing at a gigabyte per second", SP&E
+51(8), 2021) turn them into an integer significand N and a count f of
+fraction digits. The estimate N / 10^f of a real cell is certified by the
+writer's kernel: a double whose 17 digits are the cell's is the correctly
+rounded value, since the 17th digit's unit is below the spacing of doubles
+in [1e-4, 1e16); an estimate one ulp off (from rounding N above 2^53) is
+stepped once toward the cell. Any other file goes whole to the line
+reader: a line outside the layout, a real cell that is not 0 and not
+certified in that range, an integer cell other than 0 and 1. The line
+reader checks each data line's length and index, then converts its cells
+with one numpy call, which reads every cell as float() or int() does; so
+what either path accepts and every error are those of float() and int(),
+and an error names the first malformed line in file order.
 
 JSON reports are json.dumps(obj, indent=2, sort_keys=True) byte for byte,
 but that call always runs json's pure-Python encoder. write_json recurses
@@ -48,6 +57,7 @@ from __future__ import annotations
 
 import json
 import math
+import re
 from itertools import chain
 from pathlib import Path
 
@@ -97,6 +107,41 @@ def _fixed_masks() -> np.ndarray:
 
 
 _FIXED_MASKS = _fixed_masks()
+# The array parser's tables. _LAYOUT: the bytes other than digits that a
+# row may hold, "\n" (10), "," (44), "-" (45) and "." (46).
+_LAYOUT = np.zeros(256, bool)
+_LAYOUT[list(b"\n,-.")] = True
+# comment lines of printable ASCII, then the header and its labels
+_HEAD = re.compile(rb"((?:#[ -~]*\n)*)" + re.escape(CORNER.encode())
+                   + rb"((?:,[0-9]+)*)\n")
+# SWAR: a word of 8 digit bytes, the first digit lowest, to its number by
+# three multiply-shifts that join pairs, fours and then all eight
+_SWAR = [(np.uint64(mask), np.uint64(mul), np.uint64(shift)) for mask, mul, shift
+         in ((0x0F0F0F0F0F0F0F0F, 10 * 2 ** 8 + 1, 8),
+             (0x00FF00FF00FF00FF, 100 * 2 ** 16 + 1, 16),
+             (0x0000FFFF0000FFFF, 10000 * 2 ** 32 + 1, 32))]
+_E8 = np.uint64(10 ** 8)
+_P10U = np.array([10 ** k for k in range(18)], dtype=np.uint64)
+# 10^(z + 1) and 9 10^z (mod 2^64) for a cell with z digits after its dot;
+# from z = 19 (and z = 24, no dot) V < 10^18 divided by 2^64 - 1 leaves 0
+_DIVISOR = np.array([10 ** (z + 1) if z < 19 else 2 ** 64 - 1 for z in range(25)],
+                    dtype=np.uint64)
+_NINE_POW = np.array([9 * 10 ** z % 2 ** 64 for z in range(25)], dtype=np.uint64)
+
+
+def _keep_masks() -> list[np.ndarray]:
+    """For nw = 1, 2, 3: which of a cell's last 8 nw bytes to keep, as nw
+    words at row 25 L + z: its last L bytes, less the dot z bytes before
+    its end (z = 24: no dot)."""
+    L = np.arange(25)[:, None, None]
+    z = np.arange(25)[None, :, None]
+    at = np.arange(24)
+    keep = (at >= 24 - L) & (at != 23 - z)
+    words = (keep * np.uint8(255)).view("<u8").reshape(625, 3)
+    return [words[:, 3 - nw:].copy() for nw in (1, 2, 3)]
+
+
+_KEEP = _keep_masks()
 # the P2 text of each gray level, right-aligned in three bytes padded with
 # NUL, then a separator; one uint32 a level
 _LEVEL_TEXT = np.frombuffer(b"".join(str(v).encode().rjust(3, b"\0") + b" "
@@ -309,13 +354,16 @@ def read_grid_csv(path) -> tuple[np.ndarray, list[str]]:
 
 def _read_grid(path: Path, integer: bool):
     """A grid CSV's grid, read as int() (integer) or float() reads its
-    cells, and its comments, plus each grid row's line number."""
+    cells, and its comments, plus each grid row's line number: from the
+    array parser, or from the line reader below for a file it turns down."""
+    parsed = _parse_grid(path, integer)
+    if parsed is not None:
+        return parsed
     dtype = np.int64 if integer else float
     comments = []
     rows = []
     linenos = []
     expected_cols = None
-    commas = None  # an integer grid's commas between its cells, once known
     row_index = 0
     for lineno, raw in enumerate(read_text(path).splitlines(), start=1):
         line = raw.strip()
@@ -324,32 +372,27 @@ def _read_grid(path: Path, integer: bool):
         if line.startswith("#"):
             comments.append(line[1:].strip())
             continue
-        row = None if commas is None else _zero_one_row(line, row_index, commas)
-        if row is None:
-            cells = line.split(",")
-            if expected_cols is None:  # header row
-                if cells[0] != CORNER:
-                    raise ValueError(f"{path}:{lineno}: expected header starting "
-                                     f"with {CORNER!r}, got {cells[0]!r}")
-                expected_cols = len(cells) - 1
-                if cells[1:] != [str(j) for j in range(expected_cols)]:
-                    raise ValueError(f"{path}:{lineno}: expected column labels "
-                                     f"0..{expected_cols - 1}, got "
-                                     f"{','.join(cells[1:])!r}")
-                if integer and expected_cols:
-                    commas = "," * (expected_cols - 1)
-                continue
-            if len(cells) != expected_cols + 1:
-                raise ValueError(f"{path}:{lineno}: expected {expected_cols + 1} "
-                                 f"cells, got {len(cells)}")
-            if cells[0] != str(row_index):
-                raise ValueError(f"{path}:{lineno}: expected row index "
-                                 f"{row_index}, got {cells[0]!r}")
-            try:
-                row = np.array(cells[1:], dtype=dtype)
-            except (ValueError, OverflowError) as exc:
-                raise ValueError(f"{path}:{lineno}: bad cell value ({exc})") from None
-        rows.append(row)
+        cells = line.split(",")
+        if expected_cols is None:  # header row
+            if cells[0] != CORNER:
+                raise ValueError(f"{path}:{lineno}: expected header starting "
+                                 f"with {CORNER!r}, got {cells[0]!r}")
+            expected_cols = len(cells) - 1
+            if cells[1:] != [str(j) for j in range(expected_cols)]:
+                raise ValueError(f"{path}:{lineno}: expected column labels "
+                                 f"0..{expected_cols - 1}, got "
+                                 f"{','.join(cells[1:])!r}")
+            continue
+        if len(cells) != expected_cols + 1:
+            raise ValueError(f"{path}:{lineno}: expected {expected_cols + 1} "
+                             f"cells, got {len(cells)}")
+        if cells[0] != str(row_index):
+            raise ValueError(f"{path}:{lineno}: expected row index "
+                             f"{row_index}, got {cells[0]!r}")
+        try:
+            rows.append(np.array(cells[1:], dtype=dtype))
+        except (ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}:{lineno}: bad cell value ({exc})") from None
         linenos.append(lineno)
         row_index += 1
     if expected_cols is None:
@@ -365,15 +408,156 @@ def _read_grid(path: Path, integer: bool):
     return grid, comments, linenos
 
 
-def _zero_one_row(line: str, row_index: int, commas: str) -> np.ndarray | None:
-    """The cells of a data line that reads row_index and then 0/1 cells
-    between the given commas, as uint8; None for any other line, which the
-    caller reads cell by cell."""
-    head, _, rest = line.partition(",")
-    if (head == str(row_index) and len(rest) == 2 * len(commas) + 1
-            and rest[1::2] == commas and not rest[::2].strip("01")):
-        return np.frombuffer(rest[::2].encode("ascii"), np.uint8) - ord("0")
-    return None
+def _parse_grid(path: Path, integer: bool):
+    """_read_grid's result for a file in the writers' layout, from the array
+    parser; None for any other file, or one that cannot be read.
+
+    The layout: comment lines of printable ASCII, the header, then n rows
+    "i,c,...,c" with n cells -?digits[.digits], each line ending in a
+    newline. A real cell must be 0 or certified in [1e-4, 1e16), an integer
+    cell 0 or 1; so the integer grid is parsed as uint8 and widened once the
+    file's bytes are freed. Blocks hold a quarter of the writer's cells: the
+    parser's working memory is about 250 bytes a cell, so a block's arrays
+    stay below 128 KiB (glibc's mmap threshold) and the whole read below
+    2.5 files of value.csv and 6 of policy.csv.
+    """
+    try:
+        data = path.read_bytes()
+    except OSError:  # the line reader names the reason
+        return None
+    head = _HEAD.match(data)
+    if head is None:
+        return None
+    labels, comments, lo = head.group(2), head.group(1), head.end()
+    del head  # it holds the bytes
+    n = labels.count(b",")
+    # a cell's last 24 bytes must not start before the file, and each row
+    # has at least 2 n + 2 bytes, so the grid takes at most 4 times the file
+    if (lo < 24 or len(data) - lo < n * (2 * n + 2)
+            or labels != b"".join(b",%d" % j for j in range(n))):
+        return None
+    grid = np.empty((n, n), np.uint8 if integer else float)
+    step = max(1, _CELLS_PER_BLOCK // 4 // (n + 1))
+    for r0 in range(0, n, step):
+        hi = lo
+        for r in range(r0, min(r0 + step, n)):
+            if not data.startswith(b"%d," % r, hi):
+                return None
+            hi = data.find(b"\n", hi) + 1
+            if not hi:
+                return None
+        if not _parse_rows(data, lo, hi, grid[r0:r0 + step], integer):
+            return None
+        lo = hi
+    if lo != len(data):
+        return None
+    del data
+    comments = [line[1:].strip() for line in comments.decode().splitlines()]
+    first = len(comments) + 2
+    return (grid.astype(np.int64) if integer else grid, comments,
+            list(range(first, first + n)))
+
+
+def _parse_rows(data: bytes, lo: int, hi: int, out, integer: bool) -> bool:
+    """Parse data[lo:hi], whole data rows whose row indices are checked, into
+    out; False if a row is outside the layout or a cell is not certified."""
+    rows, n = out.shape
+    cells = rows * (n + 1)
+    b = np.frombuffer(data, np.uint8, hi - lo, lo)
+    sp = np.flatnonzero((b - 48) > 9)  # the bytes that are not digits
+    byte = b.take(sp)
+    if not _LAYOUT.take(byte).all():
+        return False
+    at_sep = np.flatnonzero(byte <= 44)  # "\n" and ","
+    if len(at_sep) != cells or (byte.take(at_sep[n::n + 1]) != 10).any():
+        return False
+    # each cell's start and end, but for the row index (checked already)
+    at_sep = at_sep.reshape(rows, n + 1)
+    s = sp.take(at_sep[:, :-1]).ravel() + 1
+    at_sep = at_sep[:, 1:].ravel()
+    e = sp.take(at_sep)
+    cells -= rows
+    # a "-" only where a cell starts; and at most one "." in a cell, the
+    # last byte before its end that is not a digit. z: the digits after
+    # the dot, 24 for a cell without one
+    minus = sp[byte == 45]
+    neg = None
+    if minus.size:
+        if (b.take(minus - 1) > 44).any():
+            return False
+        neg = b.take(s) == 45
+        s += neg
+    z = np.full(cells, 24)
+    dots = np.count_nonzero(byte == 46)
+    if dots:
+        prev = at_sep - 1
+        dotted = byte.take(prev) == 46
+        if integer or np.count_nonzero(dotted) != dots:
+            return False
+        np.subtract(e, sp.take(prev) + 1, out=z, where=dotted)
+    L = e - s  # the cell's bytes after its sign
+    # (a cell needs a digit: "", "-" and "." have none)
+    if (L + np.minimum(z, 1)).min() < 2 or L.max() > 24:
+        return False
+    # V: each cell's last 8 nw bytes as nw little-endian words, the bytes
+    # before the cell and its dot masked to 0, and the digits of each word
+    # combined by SWAR multiply-shift; cells of one digit (a policy's) are
+    # their byte
+    longest = int(L.max())
+    nw = (longest + 7) // 8
+    if longest == 1:
+        V = b.take(e - 1) - np.uint8(48)
+    else:
+        W = np.ndarray((len(data) - 8 * nw + 1,), f"V{8 * nw}", data, 0, (1,))
+        W = W[e + (lo - 8 * nw)].view(np.uint64).reshape(cells, nw)
+        W &= _KEEP[nw - 1].take(L * 25 + z, axis=0)
+        for mask, mul, shift in _SWAR:
+            W &= mask
+            W *= mul
+            W >>= shift
+        if nw == 3 and W[:, 0].max() >= 100:
+            return False  # V >= 10^18: more digits than a cell has
+        V = W[:, 0]
+        for j in range(1, nw):
+            V = V * _E8 + W[:, j]
+    if integer:  # 0 and 1, and a signed 0
+        if V.max() > 1 or neg is not None and V[neg].any():
+            return False
+        np.copyto(out, V.reshape(out.shape), casting="unsafe")
+        return True
+    # with the dot read as a 0 digit V is I 10^(f+1) + F, and the cell's
+    # significand N is I 10^f + F (z = 24: no dot, N = V)
+    N = V - V // _DIVISOR.take(z) * _NINE_POW.take(z)
+    f = np.where(z < 24, z, 0)
+    digits = np.searchsorted(_P10U, N, "right")
+    X = digits - 1 - f  # the cell's decimal exponent
+    zero = N == 0
+    if zero.any():
+        X[zero] = 0
+    if X.min() < -4 or X.max() > 15 or digits.max() > 17:
+        return False
+    values = N / _POW10.take(f, mode="clip")  # (a 0 cell may have f = 23)
+    # certify: _round17 of the correctly rounded double is the cell's 17
+    # significant digits; an estimate one ulp off steps toward the cell
+    T = N * _P10U.take(17 - digits)
+    q = _round17_of(values, X)
+    miss = np.flatnonzero(q != T)
+    if miss.size:
+        toward = np.where(q[miss] < T[miss], 1, -1)
+        near = (values[miss].view(np.int64) + toward).view(np.float64)
+        if (_round17_of(near, X[miss]) != T[miss]).any():
+            return False
+        values[miss] = near
+    if neg is not None:
+        values[neg] *= -1
+    out[:] = values.reshape(out.shape)
+    return True
+
+
+def _round17_of(a, X):
+    """_round17 of positive doubles a at decimal exponents X."""
+    f, E = np.frexp(a)
+    return _round17(a, (f * 2.0 ** 53).astype(np.uint64), E, X)
 
 
 def read_policy_csv(path) -> tuple[np.ndarray, list[str]]:

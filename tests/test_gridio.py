@@ -1,16 +1,18 @@
 """Grid writers and readers against per-cell reference implementations.
 
 The grid writer prints a 0/1 grid of bool or integer dtype as bytes and
-any other grid's 17 digits with an array kernel in blocks of rows, and the
-readers convert each line's cells in one numpy call, or a 0/1 policy row
-as bytes. The references below format and parse one cell at a time with
-fmt_real, float() and int(); the fast paths must give the same bytes,
+any other grid's 17 digits with an array kernel in blocks of rows. The
+readers take a file in the writers' layout through an array parser and
+any other file through a line reader, which converts each line's cells in
+one numpy call. The references below format and parse one cell at a time
+with fmt_real, float() and int(); the fast paths must give the same bytes,
 accept and reject the same cells, and name the same lines. The JSON
 writer's reference is json.dumps(obj, indent=2, sort_keys=True).
 """
 
 import enum
 import json
+import math
 import random
 import tracemalloc
 
@@ -144,9 +146,67 @@ def adversarial_grids():
 
 
 @pytest.mark.parametrize("name", list(adversarial_grids()))
-def test_adversarial_real_csv_matches_per_cell_formatting(name):
+def test_adversarial_real_csv_matches_per_cell_formatting(tmp_path, name):
     grid = adversarial_grids()[name]
     assert gridio.grid_csv_text(grid, ["c"]) == csv_per_cell(grid, ["c"])
+    # and reads back bit for bit: through the array parser when every cell
+    # is 0 or in [1e-4, 1e16), else through the line reader
+    path = tmp_path / "v.csv"
+    gridio.write_grid_csv(path, grid, ["c"])
+    back, _ = gridio.read_grid_csv(path)
+    assert back.tobytes() == grid.tobytes()
+    a = np.abs(grid)
+    in_range = (((a >= 1e-4) & (a < 1e16)) | (a == 0)).all()
+    assert (gridio._parse_grid(path, False) is not None) == in_range
+
+
+def test_array_parser_reads_a_million_cells_as_float_does(tmp_path):
+    """About 10^6 cells written by "%.17g" and read back, against float() of
+    each cell's text: doubles in [1e-4, 1e16) drawn by their bits with
+    random signs, each decade with its neighbours, the exact 17th-digit
+    ties and -0.0. Every grid takes the array parser."""
+    rng = np.random.default_rng(26)
+    decades = np.array([float(f"1e{k}") for k in range(-4, 17)])
+    edges = np.concatenate([decades[:-1], np.nextafter(decades[:-1], np.inf),
+                            np.nextafter(decades[1:], 0), [0.0, -0.0]])
+    ties = adversarial_grids()["ties"].ravel()
+    n = 300
+    path = tmp_path / "v.csv"
+    for k in range(11):
+        cells = rng.integers(*np.array([1e-4, 1e16]).view(np.int64), n * n)
+        cells = cells.view(np.float64) * rng.choice([-1.0, 1.0], n * n)
+        if k == 0:
+            cells[:edges.size + ties.size] = np.concatenate([edges, ties])
+        grid = rng.permutation(cells).reshape(n, n)
+        gridio.write_grid_csv(path, grid, ["c"])
+        assert gridio._parse_grid(path, False) is not None
+        back, _ = gridio.read_grid_csv(path)
+        want = [[float(c) for c in line.split(",")[1:]]
+                for line in path.read_text().splitlines()[2:]]
+        assert back.tobytes() == np.array(want).tobytes() == grid.tobytes()
+
+
+@pytest.mark.parametrize("cell, parsed", [
+    # certified: their 17 digits are those of float(cell)
+    ("2.5", True), ("1.", True), (".5", True), ("-0", True), ("0.000", True),
+    ("-0.000", True), ("000000000000000000012.5", True),
+    # not: 0.1 is 0.10000000000000001, 1e16 and up are outside the range,
+    # and a cell has at most 17 significant digits
+    ("0.1", False), ("0.10000000000000000", False), ("10000000000000002", False),
+    ("123456789012345678", False), ("1.23456789012345678", False),
+    ("0.000123456789012345678", False),
+])
+def test_cells_that_no_write_produces_read_as_float_does(tmp_path, cell, parsed):
+    grid = np.random.default_rng(27).uniform(1.0, 100.0, size=(30, 30))
+    lines = gridio.grid_csv_text(grid, ["c"]).splitlines()
+    cells = lines[3].split(",")  # row 1, after a comment and the header
+    cells[5] = cell
+    lines[3] = ",".join(cells)
+    path = tmp_path / "v.csv"
+    path.write_text("\n".join(lines) + "\n")
+    grid[1, 4] = float(cell)
+    assert gridio.read_grid_csv(path)[0].tobytes() == grid.tobytes()
+    assert (gridio._parse_grid(path, False) is not None) == parsed
 
 
 def test_grid_larger_than_a_block_round_trips_bit_for_bit(tmp_path):
@@ -171,6 +231,25 @@ def large_solve():
     return {"value.csv": V, "policy.csv": policy}
 
 
+@pytest.mark.parametrize("name, bound", [("value.csv", 2.5), ("policy.csv", 6.0)])
+def test_grid_readers_peak_below_a_bound_on_the_file(tmp_path, large_solve, name,
+                                                      bound):
+    """The array parser holds the file's bytes, the grid (8 bytes a cell;
+    a policy's is 4 times its file) and one block's working memory."""
+    path = tmp_path / name
+    gridio.write_grid_csv(path, large_solve[name], ["c"])
+    integer = name == "policy.csv"
+    assert gridio._parse_grid(path, integer) is not None
+    read = gridio.read_policy_csv if integer else gridio.read_grid_csv
+    tracemalloc.start()
+    try:
+        read(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < bound * path.stat().st_size
+
+
 @pytest.mark.parametrize("name", ["value.csv", "policy.csv"])
 def test_grid_writer_peaks_below_two_and_a_half_texts(tmp_path, large_solve, name):
     """write_grid_csv of a solved a_max=300 grid holds the text's blocks
@@ -188,9 +267,11 @@ def test_grid_writer_peaks_below_two_and_a_half_texts(tmp_path, large_solve, nam
 
 def test_special_reals_round_trip_bit_for_bit(tmp_path):
     path = tmp_path / "v.csv"
-    # -0.0 and subnormals included; and a grid of no columns, whose file is
-    # the header alone
-    for grid in (real_grids()["special"], np.zeros((0, 0))):
+    # -0.0 and subnormals included; one whose first cells end within 24
+    # bytes of the file's start; and a grid of no columns, whose file is the
+    # header alone
+    for grid in (real_grids()["special"], np.array([[0.0, 1 / 3], [1 / 3, 2 / 3]]),
+                 np.zeros((0, 0))):
         gridio.write_grid_csv(path, grid)
         back, _ = gridio.read_grid_csv(path)
         assert back.shape == grid.shape and back.tobytes() == grid.tobytes()
@@ -336,6 +417,13 @@ def test_reader_counts_rows_after_checking_them(tmp_path):
         gridio.read_grid_csv(write(tmp_path, ["# only a comment"]))
 
 
+def test_reader_turns_down_a_header_wider_than_its_rows(tmp_path):
+    # a grid of 10^6 x 10^6 cells would need 8 TB; the file has no rows
+    header = ",".join([gridio.CORNER] + [str(j) for j in range(10 ** 6)])
+    with pytest.raises(ValueError, match="expected 1000000 data rows, got 0"):
+        gridio.read_grid_csv(write(tmp_path, ["# c", header]))
+
+
 def test_reader_skips_blank_and_comment_lines_between_rows(tmp_path):
     lines = good_lines()
     lines[4:4] = ["", "# between rows", "   "]
@@ -449,6 +537,125 @@ def test_policy_reader_matches_per_cell_reader_on_near_misses(tmp_path, name):
     # and the unedited grid
     grid, _ = gridio.read_policy_csv(write(tmp_path, lines))
     assert np.array_equal(grid, policy)
+
+
+def value_per_cell(path):
+    """policy_per_cell's twin for a value grid: read_grid_csv one cell at a
+    time, with float()."""
+    rows, linenos, n = [], [], None
+    for lineno, raw in enumerate(path.read_text().splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        cells = line.split(",")
+        if n is None:  # the header, intact where this reference is used
+            n = len(cells) - 1
+            continue
+        if len(cells) != n + 1 or cells[0] != str(len(rows)):
+            raise ValueError(f"{path}:{lineno}: ")
+        try:
+            rows.append([float(c) for c in cells[1:]])
+        except ValueError:
+            raise ValueError(f"{path}:{lineno}: ") from None
+        linenos.append(lineno)
+    if len(rows) != n:
+        raise ValueError(f"{path}: expected {n} data rows, got {len(rows)}")
+    for lineno, row in zip(linenos, rows):
+        if not all(map(math.isfinite, row)):
+            raise ValueError(f"{path}:{lineno}: ")
+    return np.array(rows, dtype=float)
+
+
+# bytes inserted by the fuzz below: layout bytes, bytes outside it, and
+# whole non-ASCII characters (an Arabic-Indic digit, which float() and
+# int() read, a no-break space, which strip() drops, and a line separator,
+# which splitlines() splits at)
+FUZZ_BYTES = [b"0", b"1", b"7", b"-", b".", b",", b"\n", b" ", b"\t", b"\r",
+              b"+", b"_", b"e", b"#", b"\x1c", b"\x0b", "\u0661".encode(),
+              "\u00a0".encode(), "\u2028".encode()]
+
+
+def fuzzed(text: bytes, rnd: random.Random):
+    """(a variant of text, the offset of its first change): single-byte
+    inserts, deletes, replacements and swaps at random offsets, then
+    whole-file edits and cells that each break one rule of the layout."""
+    for _ in range(800):
+        at = rnd.randrange(len(text) - 1)
+        edit = rnd.randrange(4)
+        if edit == 0:
+            yield text[:at] + rnd.choice(FUZZ_BYTES) + text[at:], at
+        elif edit == 1:
+            yield text[:at] + text[at + 1:], at
+        elif edit == 2:
+            yield text[:at] + rnd.choice(FUZZ_BYTES) + text[at + 1:], at
+        else:
+            yield text[:at] + text[at + 1:at + 2] + text[at:at + 1] + text[at + 2:], at
+    first = text.index(b"\n0,") + 1
+    second = text.index(b"\n", first) + 1
+    yield text.replace(b"\n", b"\r\n"), 0
+    yield text[:second] + b"\n   \n" + text[second:], second
+    yield text[:second] + b"# between rows\n" + text[second:], second
+    yield text[:second] + b"\x1c" + text[second:], second
+    # row 0's last comma and its newline trade places
+    last = text.rindex(b",", first, second)
+    yield (text[:last] + b"\n" + text[last + 1:second - 1] + b","
+           + text[second:]), last
+    for cell in (b"1_0", b"+1", b"1e3", b"nan", b"-0", b"01", b"0.000", b".",
+                 b"-.", b"", b"-", b"0.5.5", b"0-5", b"--1", b"1.-1",
+                 b"0.00000000000000000001", b"12345678901234567",
+                 b"18446744073709551617", b"18446744073709551621"):
+        at = text.index(b",", second) + 1
+        end = text.index(b",", at)
+        yield text[:at] + cell + text[end:], at
+
+
+def outcome(read, path):
+    try:
+        grid, comments = read(path)
+    except ValueError as exc:
+        return str(exc)
+    return grid.dtype, grid.tobytes(), comments
+
+
+@pytest.mark.parametrize("integer", [False, True])
+def test_array_parser_and_line_reader_agree_on_fuzzed_grids(tmp_path, monkeypatch,
+                                                            integer):
+    """Any text the array parser turns down goes whole to the line reader:
+    on every variant each reader returns what the line reader alone
+    returns, the same bits or the same error, and what the per-cell
+    reference returns where the header is intact."""
+    rnd = random.Random(2026 + integer)
+    rng = np.random.default_rng(28)
+    if integer:
+        grid = rng.integers(0, 2, size=(5, 5))
+    else:
+        grid = rng.uniform(-50.0, 50.0, size=(5, 5))
+        grid[1, 2], grid[3, 4], grid[4, 0] = 0.0, -0.0, 0.5
+    grid[0, -1] = 1  # row 0 ends in "1", so a newline before it starts row 1
+    read = gridio.read_policy_csv if integer else gridio.read_grid_csv
+    per_cell = policy_per_cell if integer else value_per_cell
+    text = gridio.grid_csv_text(grid, ["config = {}", "status = converged"]).encode()
+    header_end = text.index(b"\n0,") + 1
+    path = tmp_path / "g.csv"
+    path.write_bytes(text)
+    assert gridio._parse_grid(path, integer) is not None
+    parsed = 0
+    for variant, at in fuzzed(text, rnd):
+        path.write_bytes(variant)
+        parsed += gridio._parse_grid(path, integer) is not None
+        got = outcome(read, path)
+        with monkeypatch.context() as m:
+            m.setattr(gridio, "_parse_grid", lambda path, integer: None)
+            assert outcome(read, path) == got, variant
+        if at < header_end:
+            continue
+        try:
+            want = per_cell(path)
+        except ValueError as exc:
+            assert isinstance(got, str) and got.startswith(str(exc)), variant
+        else:
+            assert got[1] == want.astype(got[0]).tobytes(), variant
+    assert parsed > 0  # and the parser took some variants itself
 
 
 class Code(enum.IntEnum):
