@@ -30,6 +30,9 @@
 # below a_max. A leg on the policy reader's general path copies the
 # reference solve with one policy.csv row rewritten as "+1" and " 0"
 # cells, and runs `simulate --policy-file` and `verify` on it. A leg on
+# the policy reader's array parser does the same with a row rewritten as
+# "00", "01" and "-0" cells, which it reads through its 24-byte window,
+# and again with one "2" cell, where both commands exit 2. A leg on
 # the value reader's line path copies the reference solve with value.csv
 # rows rewritten into text no write produces (row 3's cells cut to four
 # decimals, a 1.5e1 cell in row 7, a "+" sign in row 9), which the array
@@ -106,6 +109,20 @@ run_side() {
         aoi simulate --policy-file=edges/signed_cells/policy.csv "${reference[@]}" \
             --sim.seed=1 --output.directory=edges/signed_cells_simulate
         aoi verify "${reference[@]}" --output.directory=edges/signed_cells
+        # the policy reader's array parser: row 5 rewritten as "01", "00"
+        # and "-0" cells, then a copy whose last cell in row 5 is "2"
+        mkdir -p edges/short_policy_cells edges/short_policy_cells_2
+        cp reference/solve/value.csv edges/short_policy_cells/
+        cp reference/solve/value.csv edges/short_policy_cells_2/
+        sed -E '/^5,/{s/,1/,01/g;s/,0\b/,-0/g;s/,-0,/,00,/}' \
+            reference/solve/policy.csv > edges/short_policy_cells/policy.csv
+        sed '/^5,/s/,0$/,2/' reference/solve/policy.csv \
+            > edges/short_policy_cells_2/policy.csv
+        for leg in short_policy_cells short_policy_cells_2; do
+            aoi simulate --policy-file="edges/$leg/policy.csv" "${reference[@]}" \
+                --sim.seed=1 --output.directory="edges/${leg}_simulate"
+            aoi verify "${reference[@]}" --output.directory="edges/$leg"
+        done
         # the value reader's line path: value.csv rows in text that float()
         # reads but no write produces
         mkdir -p edges/rewritten_values

@@ -28,12 +28,13 @@ grid that is not finite, or whose range overflows, raises ValueError.
 
 The two readers share _read_grid and its integer flag (the text of
 value.csv's real 1.0 and of policy.csv's action 1 is the same "1"), which
-has two paths. An array parser reads a file in the writers' layout, with
-no strtod: its blocks of whole rows are numpy arrays of the file's bytes,
-where one scan finds the separators, signs and dots, each cell's last 8,
-16 or 24 bytes are gathered as little-endian words, and SWAR
-multiply-shifts (Lemire, "Number parsing at a gigabyte per second", SP&E
-51(8), 2021) turn them into an integer significand N and a count f of
+returns the grid in the dtype its caller keeps, float64 or an int8 grid
+of 0 and 1, and has two paths. An array parser reads a file in the
+writers' layout, with no strtod: its blocks of whole rows are numpy arrays
+of the file's bytes, where one scan finds the separators, signs and dots,
+each cell's last 24 bytes are gathered as three little-endian words, and
+SWAR multiply-shifts (Lemire, "Number parsing at a gigabyte per second",
+SP&E 51(8), 2021) turn them into an integer significand N and a count f of
 fraction digits. The estimate N / 10^f of a real cell is certified by the
 writer's kernel: a double whose 17 digits are the cell's is the correctly
 rounded value, since the 17th digit's unit is below the spacing of doubles
@@ -42,9 +43,10 @@ stepped once toward the cell. Any other file goes whole to the line
 reader: a line outside the layout, a real cell that is not 0 and not
 certified in that range, an integer cell other than 0 and 1. The line
 reader checks each data line's length and index, then converts its cells
-with one numpy call, which reads every cell as float() or int() does; so
-what either path accepts and every error are those of float() and int(),
-and an error names the first malformed line in file order.
+with one numpy call, which reads every cell as float() or int() does, and
+checks a policy's cells for 0 and 1 once the whole file is read; so what
+either path accepts and every error are those of float() and int(), and
+an error names the first malformed line in file order.
 
 JSON reports are json.dumps(obj, indent=2, sort_keys=True) byte for byte,
 but that call always runs json's pure-Python encoder. write_json recurses
@@ -129,16 +131,15 @@ _DIVISOR = np.array([10 ** (z + 1) if z < 19 else 2 ** 64 - 1 for z in range(25)
 _NINE_POW = np.array([9 * 10 ** z % 2 ** 64 for z in range(25)], dtype=np.uint64)
 
 
-def _keep_masks() -> list[np.ndarray]:
-    """For nw = 1, 2, 3: which of a cell's last 8 nw bytes to keep, as nw
-    words at row 25 L + z: its last L bytes, less the dot z bytes before
-    its end (z = 24: no dot)."""
+def _keep_masks() -> np.ndarray:
+    """Which of a cell's last 24 bytes to keep, as three words at row
+    25 L + z: its last L bytes, less the dot z bytes before its end (z = 24:
+    no dot)."""
     L = np.arange(25)[:, None, None]
     z = np.arange(25)[None, :, None]
     at = np.arange(24)
     keep = (at >= 24 - L) & (at != 23 - z)
-    words = (keep * np.uint8(255)).view("<u8").reshape(625, 3)
-    return [words[:, 3 - nw:].copy() for nw in (1, 2, 3)]
+    return (keep * np.uint8(255)).view("<u8").reshape(625, 3)
 
 
 _KEEP = _keep_masks()
@@ -348,14 +349,20 @@ def read_grid_csv(path) -> tuple[np.ndarray, list[str]]:
     Cells are read as float() reads them. Malformed content, a non-finite
     cell included, raises ValueError naming the offending line number.
     """
-    grid, comments, _ = _read_grid(Path(path), False)
-    return grid, comments
+    return _read_grid(path, False)
 
 
-def _read_grid(path: Path, integer: bool):
-    """A grid CSV's grid, read as int() (integer) or float() reads its
-    cells, and its comments, plus each grid row's line number: from the
-    array parser, or from the line reader below for a file it turns down."""
+def read_policy_csv(path) -> tuple[np.ndarray, list[str]]:
+    """Grid CSV restricted to action codes {0, 1}, as an int8 grid."""
+    return _read_grid(path, True)
+
+
+def _read_grid(name, integer: bool):
+    """A grid CSV's grid, float64 as float() reads its cells or (integer)
+    int8 cells that int() reads as 0 or 1, and its comments: from the array
+    parser, or from the line reader below for a file it turns down. Errors
+    name the file as a Path, but a policy cell's as the caller named it."""
+    path = Path(name)
     parsed = _parse_grid(path, integer)
     if parsed is not None:
         return parsed
@@ -401,11 +408,18 @@ def _read_grid(path: Path, integer: bool):
         raise ValueError(f"{path}: expected {expected_cols} data rows, got {row_index}")
     # (a grid with no columns has no rows to take its shape from)
     grid = np.array(rows, dtype=dtype).reshape(row_index, expected_cols)
+    if integer:
+        bad = np.argwhere((grid != 0) & (grid != 1))
+        if bad.size:
+            i, j = bad[0]
+            raise ValueError(f"{name}:{linenos[i]}: policy cell ({i},{j}) is "
+                             f"{grid[i, j]}, expected 0 (sense) or 1 (comm)")
+        return grid.astype(np.int8), comments
     if not np.isfinite(grid).all():
         i, j = np.argwhere(~np.isfinite(grid))[0]
         raise ValueError(f"{path}:{linenos[i]}: non-finite cell value "
                          f"{grid[i, j]} in column {j}")
-    return grid, comments, linenos
+    return grid, comments
 
 
 def _parse_grid(path: Path, integer: bool):
@@ -415,11 +429,11 @@ def _parse_grid(path: Path, integer: bool):
     The layout: comment lines of printable ASCII, the header, then n rows
     "i,c,...,c" with n cells -?digits[.digits], each line ending in a
     newline. A real cell must be 0 or certified in [1e-4, 1e16), an integer
-    cell 0 or 1; so the integer grid is parsed as uint8 and widened once the
-    file's bytes are freed. Blocks hold a quarter of the writer's cells: the
-    parser's working memory is about 250 bytes a cell, so a block's arrays
-    stay below 128 KiB (glibc's mmap threshold) and the whole read below
-    2.5 files of value.csv and 6 of policy.csv.
+    cell 0 or 1, which goes straight into the int8 grid. Blocks hold a
+    quarter of the writer's cells: the parser's working memory is about 250
+    bytes a cell, so a block's arrays stay below 128 KiB (glibc's mmap
+    threshold) and the whole read below 2.5 files of value.csv and 3.5 of
+    policy.csv.
     """
     try:
         data = path.read_bytes()
@@ -433,10 +447,11 @@ def _parse_grid(path: Path, integer: bool):
     n = labels.count(b",")
     # a cell's last 24 bytes must not start before the file, and each row
     # has at least 2 n + 2 bytes, so the grid takes at most 4 times the file
+    # (an int8 grid half of it)
     if (lo < 24 or len(data) - lo < n * (2 * n + 2)
             or labels != b"".join(b",%d" % j for j in range(n))):
         return None
-    grid = np.empty((n, n), np.uint8 if integer else float)
+    grid = np.empty((n, n), np.int8 if integer else float)
     step = max(1, _CELLS_PER_BLOCK // 4 // (n + 1))
     for r0 in range(0, n, step):
         hi = lo
@@ -451,11 +466,7 @@ def _parse_grid(path: Path, integer: bool):
         lo = hi
     if lo != len(data):
         return None
-    del data
-    comments = [line[1:].strip() for line in comments.decode().splitlines()]
-    first = len(comments) + 2
-    return (grid.astype(np.int64) if integer else grid, comments,
-            list(range(first, first + n)))
+    return grid, [line[1:].strip() for line in comments.decode().splitlines()]
 
 
 def _parse_rows(data: bytes, lo: int, hi: int, out, integer: bool) -> bool:
@@ -499,27 +510,23 @@ def _parse_rows(data: bytes, lo: int, hi: int, out, integer: bool) -> bool:
     # (a cell needs a digit: "", "-" and "." have none)
     if (L + np.minimum(z, 1)).min() < 2 or L.max() > 24:
         return False
-    # V: each cell's last 8 nw bytes as nw little-endian words, the bytes
+    # V: each cell's last 24 bytes as three little-endian words, the bytes
     # before the cell and its dot masked to 0, and the digits of each word
     # combined by SWAR multiply-shift; cells of one digit (a policy's) are
     # their byte
-    longest = int(L.max())
-    nw = (longest + 7) // 8
-    if longest == 1:
+    if L.max() == 1:
         V = b.take(e - 1) - np.uint8(48)
     else:
-        W = np.ndarray((len(data) - 8 * nw + 1,), f"V{8 * nw}", data, 0, (1,))
-        W = W[e + (lo - 8 * nw)].view(np.uint64).reshape(cells, nw)
-        W &= _KEEP[nw - 1].take(L * 25 + z, axis=0)
+        W = np.ndarray((len(data) - 23,), "V24", data, 0, (1,))
+        W = W[e + (lo - 24)].view(np.uint64).reshape(cells, 3)
+        W &= _KEEP.take(L * 25 + z, axis=0)
         for mask, mul, shift in _SWAR:
             W &= mask
             W *= mul
             W >>= shift
-        if nw == 3 and W[:, 0].max() >= 100:
+        if W[:, 0].max() >= 100:
             return False  # V >= 10^18: more digits than a cell has
-        V = W[:, 0]
-        for j in range(1, nw):
-            V = V * _E8 + W[:, j]
+        V = (W[:, 0] * _E8 + W[:, 1]) * _E8 + W[:, 2]
     if integer:  # 0 and 1, and a signed 0
         if V.max() > 1 or neg is not None and V[neg].any():
             return False
@@ -558,17 +565,6 @@ def _round17_of(a, X):
     """_round17 of positive doubles a at decimal exponents X."""
     f, E = np.frexp(a)
     return _round17(a, (f * 2.0 ** 53).astype(np.uint64), E, X)
-
-
-def read_policy_csv(path) -> tuple[np.ndarray, list[str]]:
-    """Grid CSV restricted to action codes {0, 1}."""
-    grid, comments, linenos = _read_grid(Path(path), integer=True)
-    bad = np.argwhere((grid != 0) & (grid != 1))
-    if bad.size:
-        i, j = bad[0]
-        raise ValueError(f"{path}:{linenos[i]}: policy cell ({i},{j}) is "
-                         f"{grid[i, j]}, expected 0 (sense) or 1 (comm)")
-    return grid.astype(np.int8), comments
 
 
 def decision_map_text(policy: np.ndarray, comments: list[str] = ()) -> str:

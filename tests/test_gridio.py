@@ -141,6 +141,9 @@ def adversarial_grids():
         "integers": square(integers, rng),
         "short_decimals": square(short, rng),
         "zeros": square([0.0, -0.0, 1e-4, 0.5, 1e15], rng),
+        # cells of at most 8 bytes, "-999.5" the longest: whole blocks of
+        # them read through the parser's 24-byte window
+        "short_cells": square(np.arange(2000) / 2, rng),
         "mixed_rows": mixed,
     }
 
@@ -231,11 +234,11 @@ def large_solve():
     return {"value.csv": V, "policy.csv": policy}
 
 
-@pytest.mark.parametrize("name, bound", [("value.csv", 2.5), ("policy.csv", 6.0)])
+@pytest.mark.parametrize("name, bound", [("value.csv", 2.5), ("policy.csv", 3.5)])
 def test_grid_readers_peak_below_a_bound_on_the_file(tmp_path, large_solve, name,
                                                       bound):
-    """The array parser holds the file's bytes, the grid (8 bytes a cell;
-    a policy's is 4 times its file) and one block's working memory."""
+    """The array parser holds the file's bytes, the grid (8 bytes a cell; a
+    policy's int8 grid is half its file) and one block's working memory."""
     path = tmp_path / name
     gridio.write_grid_csv(path, large_solve[name], ["c"])
     integer = name == "policy.csv"
@@ -342,6 +345,9 @@ def reference_cell(cell, integer):
 @pytest.mark.parametrize("integer", [False, True])
 @pytest.mark.parametrize("cell", CELLS)
 def test_reader_accepts_exactly_what_float_and_int_accept(tmp_path, cell, integer):
+    """A real grid takes each finite cell float() reads; a policy grid,
+    int8, each cell int() reads as 0 or 1, and any other int() reads is a
+    policy cell error."""
     text, lineno = csv_with_cell(cell)
     path = tmp_path / "g.csv"
     path.write_text(text)
@@ -349,10 +355,14 @@ def test_reader_accepts_exactly_what_float_and_int_accept(tmp_path, cell, intege
     if want is None:
         with pytest.raises(ValueError, match=f"g.csv:{lineno}: "):
             gridio._read_grid(path, integer)
+    elif integer and want not in (0, 1):
+        with pytest.raises(ValueError, match=f"g.csv:{lineno}: policy cell "
+                                             rf"\(1,1\) is {want}, expected 0"):
+            gridio._read_grid(path, integer)
     else:
-        grid, comments, _ = gridio._read_grid(path, integer)
+        grid, comments = gridio._read_grid(path, integer)
         assert grid[1, 1] == want and grid.sum() == 8 + want
-        assert grid.dtype == (np.int64 if integer else np.float64)
+        assert grid.dtype == (np.int8 if integer else np.float64)
         assert comments == ["comment"]
 
 
@@ -427,8 +437,9 @@ def test_reader_turns_down_a_header_wider_than_its_rows(tmp_path):
 def test_reader_skips_blank_and_comment_lines_between_rows(tmp_path):
     lines = good_lines()
     lines[4:4] = ["", "# between rows", "   "]
-    grid, comments, _ = gridio._read_grid(write(tmp_path, lines), True)
-    assert grid.shape == (3, 3) and comments == ["a", "b", "between rows"]
+    grid, comments = gridio._read_grid(write(tmp_path, lines), True)
+    assert grid.shape == (3, 3) and grid.dtype == np.int8
+    assert comments == ["a", "b", "between rows"]
     lines[-1] = "2,0,nan,0"
     with pytest.raises(ValueError, match="g.csv:9: non-finite"):
         gridio.read_grid_csv(write(tmp_path, lines))
