@@ -46,6 +46,8 @@
 # at gamma=1e-6 and no costs runs `solve` and `verify` at a_max 30 and
 # 300: value.csv's row 0 is about 1e-6, below the 17-digit kernel's range,
 # and the rows after it are in it, so the writer's first block mixes both.
+# The top-level `--help` and each command's `--help`, at COLUMNS=80, are
+# captured into help/, so a change to the CLI surface shows as a diff.
 # Each command's exit code is appended to exit_codes.txt in the compared
 # tree. Exits 0 when every artifact and exit code is identical, 1 when one
 # differs.
@@ -71,6 +73,11 @@ run_side() {
                 >/dev/null || rc=$?
             echo "$rc $*" >> exit_codes.txt
         }
+        mkdir help
+        for command in "" solve verify simulate sweep; do
+            COLUMNS=80 PYTHONPATH="$src" python3 -m aoi_isac ${command:+"$command"} \
+                --help > "help/${command:-aoi-isac}.txt"
+        done
         model=(--model.lambda_s=0.6 --model.lambda_c=0.9 --model.c_s=0.2
                --model.c_c=0.1)
         for workload in reference large_grid; do

@@ -300,20 +300,30 @@ def _build_parser() -> argparse.ArgumentParser:
                     "scheduling problem.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_solve = sub.add_parser("solve", help="solve the MDP; writes grids and report")
-    p_verify = sub.add_parser("verify", help="structural checks on solve artifacts")
-    p_sim = sub.add_parser("simulate", help="Monte Carlo estimate of a policy")
-    p_sim.add_argument("--policy", default="optimal",
-                       help="optimal | always_sense | always_comm | alternate "
-                            "| random_bernoulli:<p>")
-    p_sim.add_argument("--policy-file", default=None, metavar="CSV",
-                       help="policy grid CSV (overrides --policy)")
-    p_sweep = sub.add_parser("sweep", help="re-solve along one parameter axis")
-    p_sweep.add_argument("--axis", required=True, help="|".join(SWEEP_AXES))
-    p_sweep.add_argument("--values", required=True, metavar="V,V,...",
-                         help="comma-separated parameter values")
-    for p in (p_solve, p_verify, p_sim, p_sweep):
-        _add_config_flags(p)
+    # Each flag is built once, in a parent, and every command that takes it
+    # shares its Action. A command's own flags come ahead of the config
+    # flags, the order its usage and --help print them in.
+    config = argparse.ArgumentParser(add_help=False)
+    _add_config_flags(config)
+    sim_flags = argparse.ArgumentParser(add_help=False)
+    sim_flags.add_argument("--policy", default="optimal",
+                           help="optimal | always_sense | always_comm | alternate "
+                                "| random_bernoulli:<p>")
+    sim_flags.add_argument("--policy-file", default=None, metavar="CSV",
+                           help="policy grid CSV (overrides --policy)")
+    sweep_flags = argparse.ArgumentParser(add_help=False)
+    sweep_flags.add_argument("--axis", required=True, help="|".join(SWEEP_AXES))
+    sweep_flags.add_argument("--values", required=True, metavar="V,V,...",
+                             help="comma-separated parameter values")
+
+    sub.add_parser("solve", parents=[config],
+                   help="solve the MDP; writes grids and report")
+    sub.add_parser("verify", parents=[config],
+                   help="structural checks on solve artifacts")
+    sub.add_parser("simulate", parents=[sim_flags, config],
+                   help="Monte Carlo estimate of a policy")
+    sub.add_parser("sweep", parents=[sweep_flags, config],
+                   help="re-solve along one parameter axis")
     return parser
 
 

@@ -357,12 +357,12 @@ def read_policy_csv(path) -> tuple[np.ndarray, list[str]]:
     return _read_grid(path, True)
 
 
-def _read_grid(name, integer: bool):
+def _read_grid(path, integer: bool):
     """A grid CSV's grid, float64 as float() reads its cells or (integer)
     int8 cells that int() reads as 0 or 1, and its comments: from the array
     parser, or from the line reader below for a file it turns down. Errors
-    name the file as a Path, but a policy cell's as the caller named it."""
-    path = Path(name)
+    name the file as a Path."""
+    path = Path(path)
     parsed = _parse_grid(path, integer)
     if parsed is not None:
         return parsed
@@ -412,7 +412,7 @@ def _read_grid(name, integer: bool):
         bad = np.argwhere((grid != 0) & (grid != 1))
         if bad.size:
             i, j = bad[0]
-            raise ValueError(f"{name}:{linenos[i]}: policy cell ({i},{j}) is "
+            raise ValueError(f"{path}:{linenos[i]}: policy cell ({i},{j}) is "
                              f"{grid[i, j]}, expected 0 (sense) or 1 (comm)")
         return grid.astype(np.int8), comments
     if not np.isfinite(grid).all():

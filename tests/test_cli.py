@@ -9,7 +9,7 @@ import pytest
 
 from aoi_isac import cli, gridio, sim
 from aoi_isac.cli import SWEEP_AXES, _build_parser, main
-from aoi_isac.config import RunConfig
+from aoi_isac.config import FIELDS, RunConfig
 from aoi_isac.model import ModelParams
 from aoi_isac.solver import value_iteration
 from aoi_isac.structure import CHECK_NAMES, run_all_checks
@@ -267,6 +267,21 @@ def test_every_config_leaf_has_a_flag():
         flags = {o for a in sub._actions for o in a.option_strings if "." in o}
         assert flags == leaves, name
     assert SWEEP_AXES == ("lambda_s", "lambda_c", "c_s", "c_c", "gamma")
+
+
+def test_commands_share_one_action_per_config_flag_after_their_own():
+    """Each config flag is built once and shared by the four commands; a
+    command lists -h, its own flags, then --config and the FIELDS flags,
+    the order its usage and --help print."""
+    commands = _build_parser()._subparsers._group_actions[0].choices
+    own = {"solve": [], "verify": [], "simulate": ["--policy", "--policy-file"],
+           "sweep": ["--axis", "--values"]}
+    config_flags = ["--config", *(f"--{dotted}" for dotted in FIELDS)]
+    shared = commands["solve"]._actions[1:]
+    for name, sub in commands.items():
+        flags = [a.option_strings[-1] for a in sub._actions]
+        assert flags == ["--help", *own[name], *config_flags], name
+        assert all(a is b for a, b in zip(sub._actions[-len(shared):], shared)), name
 
 
 def test_verify_in_process_and_from_artifacts(tmp_path):

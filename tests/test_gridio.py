@@ -417,6 +417,18 @@ def test_reader_reports_the_first_fault_in_file_order(tmp_path):
         gridio._read_grid(write(tmp_path, lines), True)
 
 
+@pytest.mark.parametrize("row, cell, lineno", [(1, "2", 5), (2, "oops", 6)])
+def test_policy_reader_names_the_file_one_way_for_every_fault(
+        tmp_path, monkeypatch, row, cell, lineno):
+    lines = good_lines()
+    lines[lineno - 1] = f"{row},0,{cell},0"
+    write(tmp_path, lines).rename(tmp_path / "p.csv")
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ValueError) as exc:
+        gridio.read_policy_csv("./p.csv")
+    assert str(exc.value).startswith(f"p.csv:{lineno}: ")
+
+
 def test_reader_counts_rows_after_checking_them(tmp_path):
     lines = good_lines()
     with pytest.raises(ValueError, match="expected 3 data rows, got 2"):
