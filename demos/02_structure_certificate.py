@@ -1,22 +1,25 @@
 """Certify the structural properties of the solved instance numerically.
 
 Runs every structure check on the reference solution and prints the verdict
-table. The checks that drive the threshold result — monotone value surface,
-action difference nondecreasing in alpha_s / nonincreasing in alpha_b,
-per-row single crossing, nondecreasing tau — all pass at tolerance 1e-9.
+table. Every verdict check passes at tolerance 1e-9: monotone value surface,
+increasing differences of V and of both Q grids, action difference
+nondecreasing in alpha_s / nonincreasing in alpha_b, a policy greedy for V,
+per-row single crossing and nondecreasing tau.
 
-The submodularity checks fail, and the failure is real, not numerical: the
-pointwise minimum over the two actions creates positive cross-differences on
-the 2x2 blocks straddling the switching curve (Comm below, Sense above-right),
-and those blocks sit well inside the grid. The second value-iteration sweep
-already shows it in closed form. The demo prints the violation band so you
-can see it hug the switching curve.
+The submodularity checks, which test the opposite sign and stay out of the
+verdict, fail, and the failure is real, not numerical: the pointwise minimum
+over the two actions creates positive cross-differences on the 2x2 blocks
+straddling the switching curve (Comm below, Sense above-right), and those
+blocks sit well inside the grid. The second value-iteration sweep already
+shows it in closed form. The demo prints the violation band of V so you can
+see it hug the switching curve, and the count of Q-grid blocks beside it.
 """
 
 import numpy as np
 
-from aoi_isac import (check_submodular, default_model_params,
-                      extract_thresholds, run_all_checks, solve)
+from aoi_isac import (check_q_submodular, check_submodular,
+                      default_model_params, extract_thresholds,
+                      run_all_checks, solve)
 
 
 def main():
@@ -47,6 +50,9 @@ def main():
             print("  " + row)
         print("the band tracks the switching curve: these are the mixed-action "
               "blocks where min(Q_sense, Q_comm) loses submodularity")
+        q = check_q_submodular(V, params)
+        print(f"Q grids: {len(q.violations)} blocks with a positive "
+              f"cross-difference ({q.region})")
 
 
 if __name__ == "__main__":

@@ -16,7 +16,8 @@ from .sim import (AlternatingPolicy, RandomCommPolicy, SimEstimate, Trajectory,
 from .solver import (SolveReport, bellman_backup, evaluate_policy,
                      extract_policy, extract_thresholds, solve,
                      value_iteration)
-from .structure import (StructureReport, check_delta_monotone, check_monotone,
+from .structure import (StructureReport, check_delta_monotone, check_greedy,
+                        check_increasing_differences, check_monotone,
                         check_q_submodular, check_single_crossing,
                         check_submodular, check_threshold_monotone,
                         run_all_checks)
@@ -27,9 +28,10 @@ __all__ = [
     "Action", "AlternatingPolicy", "ModelParams", "RandomCommPolicy",
     "RunConfig", "SimEstimate", "SolveReport", "StructureReport", "Trajectory",
     "baseline_policy", "bellman_backup", "build_config", "check_delta_monotone",
-    "check_monotone", "check_q_submodular", "check_single_crossing",
-    "check_submodular", "check_threshold_monotone", "default_model_params",
-    "delta_grid", "estimate_value", "evaluate_policy", "extract_policy",
+    "check_greedy", "check_increasing_differences", "check_monotone",
+    "check_q_submodular", "check_single_crossing", "check_submodular",
+    "check_threshold_monotone", "default_model_params", "delta_grid",
+    "estimate_value", "evaluate_policy", "extract_policy",
     "extract_thresholds", "q_grids", "rollout", "run_all_checks", "solve",
     "truncation_bias_bound", "value_iteration",
 ]

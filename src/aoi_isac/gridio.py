@@ -47,12 +47,6 @@ with one numpy call, which reads every cell as float() or int() does, and
 checks a policy's cells for 0 and 1 once the whole file is read; so what
 either path accepts and every error are those of float() and int(), and
 an error names the first malformed line in file order.
-
-JSON reports are json.dumps(obj, indent=2, sort_keys=True) byte for byte,
-but that call always runs json's pure-Python encoder. write_json recurses
-over dicts and mixed lists itself and hands each list or dict of scalars,
-and each list of rows of scalars, to the C encoder in one call, with the
-line break and indent as its item separator.
 """
 
 from __future__ import annotations
@@ -68,11 +62,6 @@ import numpy as np
 CORNER = "alpha_s\\alpha_b"
 # decision-map glyphs, indexed by "is comm": b"S" for sense, b"C" otherwise
 GLYPHS = np.frombuffer(b"SC", dtype=np.uint8)
-# Values json's C encoder writes as its pure-Python (indent) encoder does,
-# decided by exact type: a subclass such as IntEnum or np.float64 takes the
-# pure-Python encoder.
-_JSON_SCALARS = frozenset({str, int, float, bool, type(None)})
-_JSON_LISTS = frozenset({list, tuple})
 
 # Cells, the row index column included, in one block of the real-grid writer
 # (whole rows, at least one); bounds the 17-digit kernel's working memory,
@@ -168,42 +157,7 @@ def read_text(path) -> str:
 
 def write_json(path, obj) -> None:
     """Write json.dumps(obj, indent=2, sort_keys=True) plus a newline."""
-    Path(path).write_text(_json_text(obj, "\n") + "\n")
-
-
-def _json_text(obj, nl: str) -> str:
-    """json.dumps(obj, indent=2, sort_keys=True) for a value nested where
-    each line break is followed by nl's indent."""
-    kind = type(obj)
-    if kind in _JSON_LISTS and obj:
-        values = obj
-    elif kind is dict and obj and set(map(type, obj)) == {str}:
-        values = obj.values()
-    elif kind in _JSON_SCALARS:
-        return json.dumps(obj)
-    else:  # empty, a subclass, or keys that are not str
-        return json.dumps(obj, indent=2, sort_keys=True).replace("\n", nl)
-    inner = nl + "  "
-    types = set(map(type, values))
-    if types <= _JSON_SCALARS:
-        # one C-encoder call; ensure_ascii escapes every newline in a
-        # string, so each newline it writes is a separator
-        text = json.dumps(obj, separators=("," + inner, ": "), sort_keys=True)
-        return text[0] + inner + text[1:-1] + nl + text[-1]
-    if kind is dict:
-        items = [json.dumps(k) + ": " + _json_text(obj[k], inner)
-                 for k in sorted(obj)]
-        return "{" + inner + ("," + inner).join(items) + nl + "}"
-    if (types <= _JSON_LISTS and all(obj)
-            and set(map(type, chain.from_iterable(obj))) <= _JSON_SCALARS):
-        # rows of scalars in one call, at the rows' indent; then each row
-        # boundary "],<cell>[" is moved out to the list's own indent
-        cell = inner + "  "
-        body = json.dumps(obj, separators=("," + cell, ": "))[2:-2]
-        body = body.replace("]," + cell + "[", inner + "]," + inner + "[" + cell)
-        return "[" + inner + "[" + cell + body + inner + "]" + nl + "]"
-    items = [_json_text(v, inner) for v in obj]
-    return "[" + inner + ("," + inner).join(items) + nl + "]"
+    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
 def grid_csv_text(grid: np.ndarray, comments: list[str] = ()) -> str:

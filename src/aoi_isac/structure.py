@@ -1,16 +1,21 @@
 """Numerical certificates for the structural properties of solved grids.
 
-Each check is a pure function returning a StructureReport: coordinatewise
-monotonicity and submodularity of a value grid, submodularity of both
-action-value grids, single-crossing and antitone behaviour of the action
-difference, and monotonicity of the switching curve. Inequalities are tested
-up to a floating-point tolerance, which only absorbs rounding accumulated by
-the solver. The two submodularity checks report violations on solved grids,
-and those are real, not rounding: the 2x2 cross-differences of a solved value
-grid and of its Q grids are nonnegative (increasing differences) and
-positive along the switching curve. The acceptance suite checks this sign on
-every swept instance, and proves it for the value grid in exact arithmetic
-on a 16-state instance.
+Each check is a pure function returning a StructureReport. run_all_checks
+runs the six that a solved (V, policy) pair passes: coordinatewise
+monotonicity of V, increasing differences of V and of both action-value
+grids, single-crossing and antitone behaviour of the action difference, a
+policy greedy for V, and monotonicity of the switching curve. Inequalities
+are tested up to a floating-point tolerance, which only absorbs rounding
+accumulated by the solver. A cross-difference adds four values near max V,
+so its rounding scales with max V: the increasing-differences check widens
+the tolerance to at least 8 ulps of max |V| and reports the one it used.
+
+check_submodular and check_q_submodular test the opposite sign and stay
+out of the verdict. They report violations on solved grids, and those are
+real, not rounding: the 2x2 cross-differences of a solved value grid and of
+its Q grids are nonnegative and positive along the switching curve. The
+acceptance suite checks this sign on every swept instance, and proves it
+for the value grid in exact arithmetic on a 16-state instance.
 
 Violations are collected exhaustively in row-major coordinate order, never
 truncated, so counterexamples can be inspected. Checks that quantify over
@@ -31,8 +36,8 @@ from .solver import extract_thresholds
 
 DEFAULT_TOL = 1e-9
 # the check names, in the order run_all_checks returns the reports
-CHECK_NAMES = ("monotone", "submodular", "delta_monotone", "q_submodular",
-               "single_crossing", "threshold_monotone")
+CHECK_NAMES = ("monotone", "increasing_differences", "delta_monotone",
+               "greedy", "single_crossing", "threshold_monotone")
 
 
 @dataclass
@@ -94,6 +99,26 @@ def check_submodular(V: np.ndarray, tol: float = DEFAULT_TOL) -> StructureReport
     return StructureReport("submodular", violations, tol)
 
 
+def check_increasing_differences(V: np.ndarray, params: ModelParams,
+                                 tol: float = DEFAULT_TOL) -> StructureReport:
+    """V(a+1,b+1) + V(a,b) >= V(a+1,b) + V(a,b+1) on every 2x2 block of V,
+    and of both action-value grids on the unclamped interior. The
+    tolerance is at least 8 ulps of max |V|, the rounding of a
+    cross-difference of values near max V."""
+    V = np.asarray(V, dtype=float)
+    tol = max(tol, 8 * float(np.spacing(np.abs(V).max())))
+    q_sense, q_comm = q_grids(V, params)
+    interior = (slice(params.a_max), slice(params.a_max))
+    violations = (_submodular_excesses(-V, tol, "V")
+                  + _submodular_excesses(-q_sense[interior], tol, "sense")
+                  + _submodular_excesses(-q_comm[interior], tol, "comm"))
+    return StructureReport(
+        "increasing_differences", violations, tol,
+        region=f"V: full grid; Q: interior alpha_s, alpha_b <= "
+               f"{params.a_max - 1} (saturated row/column skipped)",
+    )
+
+
 def check_delta_monotone(V: np.ndarray, params: ModelParams,
                          tol: float = DEFAULT_TOL) -> StructureReport:
     """Action difference nondecreasing in alpha_s and nonincreasing in
@@ -124,6 +149,17 @@ def check_q_submodular(V: np.ndarray, params: ModelParams,
         region=f"interior alpha_s, alpha_b <= {params.a_max - 1} "
                f"(saturated row/column skipped)",
     )
+
+
+def check_greedy(V: np.ndarray, policy: np.ndarray, params: ModelParams,
+                 tol: float = DEFAULT_TOL) -> StructureReport:
+    """The policy is greedy for V: comm where Q_sense - Q_comm > 0, sense
+    elsewhere. Violations list each state that breaks this rule and whose
+    action difference exceeds tol in magnitude, as (alpha_s, alpha_b,
+    delta)."""
+    d = delta_grid(V, params)
+    wrong = (np.asarray(policy) != (d > 0)) & (np.abs(d) > tol)
+    return StructureReport("greedy", _listed(wrong, d), tol)
 
 
 def check_threshold_monotone(tau: np.ndarray) -> StructureReport:
@@ -158,9 +194,9 @@ def run_all_checks(V: np.ndarray, policy: np.ndarray, params: ModelParams,
     tau, _ = extract_thresholds(policy)
     return [
         check_monotone(V, tol),
-        check_submodular(V, tol),
+        check_increasing_differences(V, params, tol),
         check_delta_monotone(V, params, tol),
-        check_q_submodular(V, params, tol),
+        check_greedy(V, policy, params, tol),
         check_single_crossing(policy),
         check_threshold_monotone(tau),
     ]

@@ -10,7 +10,7 @@ import pytest
 from aoi_isac import cli, gridio, sim
 from aoi_isac.cli import SWEEP_AXES, _build_parser, main
 from aoi_isac.config import FIELDS, RunConfig
-from aoi_isac.model import ModelParams
+from aoi_isac.model import ModelParams, delta_grid
 from aoi_isac.solver import value_iteration
 from aoi_isac.structure import CHECK_NAMES, run_all_checks
 from reference import exhaustive_policy_oracle
@@ -285,22 +285,22 @@ def test_commands_share_one_action_per_config_flag_after_their_own():
 
 
 def test_verify_in_process_and_from_artifacts(tmp_path):
-    # full suite fails (solved grids are not submodular along the switching
-    # curve), so verify exits 4 while the bundle shows the passing subset
+    # every check of the verdict passes on a solved pair, so verify exits 0
     rc = run(tmp_path, "verify", *small_flags())
-    assert rc == 4
+    assert rc == 0
     bundle = json.loads(read_bytes(tmp_path, "verify_report.json"))
     assert bundle["source"] == "in-process"
     by_name = {c["check"]: c for c in bundle["checks"]}
     for name in ("monotone", "delta_monotone", "single_crossing",
                  "threshold_monotone"):
         assert by_name[name]["passed"] is True, name
-    assert by_name["submodular"]["passed"] is False
+    assert by_name["increasing_differences"]["passed"] is True
+    assert by_name["greedy"]["passed"] is True
     assert bundle["lambda_ordering_ok"] is True
 
     assert run(tmp_path, "solve", *small_flags()) == 0
     rc = run(tmp_path, "verify", *small_flags())
-    assert rc == 4
+    assert rc == 0
     bundle2 = json.loads(read_bytes(tmp_path, "verify_report.json"))
     assert bundle2["source"] == "artifacts"
     assert bundle2["checks"] == bundle["checks"]  # loaded CSV is lossless
@@ -318,6 +318,31 @@ def test_verify_detects_corrupted_value_grid(tmp_path):
     assert mono["passed"] is False
     coords = {tuple(v[:3]) for v in mono["violations"]}
     assert ("alpha_s", 3, 3) in coords
+
+
+def test_verify_rejects_a_policy_that_is_not_greedy(tmp_path):
+    assert run(tmp_path, "solve", *small_flags()) == 0
+    path = tmp_path / "out" / "policy.csv"
+    policy, comments = gridio.read_policy_csv(path)
+    gridio.write_grid_csv(path, np.zeros_like(policy), comments)  # all sense
+    assert run(tmp_path, "verify", *small_flags()) == 4
+    checks = json.loads(read_bytes(tmp_path, "verify_report.json"))["checks"]
+    assert [c["check"] for c in checks if not c["passed"]] == ["greedy"]
+    greedy = next(c for c in checks if c["check"] == "greedy")
+    i, j, d = greedy["violations"][0]
+    V, _ = gridio.read_grid_csv(tmp_path / "out" / "value.csv")
+    delta = delta_grid(V, ModelParams(**IV, a_max=8))
+    assert d == delta[i, j] > greedy["tolerance"] and policy[i, j] == 1
+    assert greedy["n_violations"] == np.count_nonzero(policy)
+
+
+def test_solve_and_verify_pass_at_a_tolerance_below_the_rounding_of_v(tmp_path):
+    # cross-differences of values near max V round at a few ulps of max V,
+    # far above 1e-15; the increasing-differences check allows 8 ulps
+    assert run(tmp_path, "solve", "--solver.tol", "1e-15") == 0
+    assert run(tmp_path, "verify", "--solver.tol", "1e-15") == 0
+    checks = json.loads(read_bytes(tmp_path, "verify_report.json"))["checks"]
+    assert all(c["passed"] for c in checks)
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf"])
@@ -498,7 +523,7 @@ def test_all_rejected_sweep_still_writes_the_full_header(tmp_path):
 
 
 def test_sweep_rejects_out_of_range_value(tmp_path, capsys):
-    # exit 2 for the rejected value wins over the other row's exit 4
+    # exit 2 for the rejected value, whatever the other row's verdict
     assert run(tmp_path, "sweep", "--axis", "lambda_s", "--values", "0.3,1.2",
                *small_flags(a_max=6)) == 2
     assert "rejected" in capsys.readouterr().err
@@ -513,7 +538,7 @@ def test_sweep_rejects_a_value_whose_value_bound_is_too_large(tmp_path, capsys):
                *small_flags()) == 2
     assert "c_s=1e+200 rejected: c_s=1e+200, c_c=0.1" in capsys.readouterr().err
     rows = json.loads(read_bytes(tmp_path, "sweep_report.json"))["rows"]
-    assert [r["status"] for r in rows] == ["check_failed", "rejected"]
+    assert [r["status"] for r in rows] == ["ok", "rejected"]
 
 
 @pytest.mark.parametrize("values, entry", [
@@ -610,7 +635,7 @@ def test_verify_rejects_artifacts_solved_for_another_model(tmp_path, capsys):
     assert "model.gamma" not in err
     assert not (tmp_path / "out" / "verify_report.json").exists()
     # the other sections may differ
-    assert run(tmp_path, "verify", *small_flags(n=20), "--model.c_c", "0.1") == 4
+    assert run(tmp_path, "verify", *small_flags(n=20), "--model.c_c", "0.1") == 0
     path = tmp_path / "out" / "policy.csv"
     path.write_text(path.read_text().replace("# config = {", "# config = [", 1))
     assert run(tmp_path, "verify", *small_flags(), "--model.c_c", "0.1") == 2

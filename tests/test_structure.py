@@ -1,8 +1,8 @@
 """Structure-check tests: mechanics on constructed grids plus the certified
 properties of solved instances.
 
-The checks that depend only on monotone/single-crossing behaviour hold for
-every solved instance here; the value-submodularity checks are exercised on
+The checks of run_all_checks hold for every solved instance here; the
+submodularity checks, which stay out of that verdict, are exercised on
 constructed grids (where their verdicts are provable) because solved grids
 genuinely violate them along the switching curve — see the acceptance suite.
 """
@@ -13,8 +13,9 @@ import numpy as np
 import pytest
 
 from aoi_isac.model import ModelParams, delta_grid, q_grids
-from aoi_isac.solver import value_iteration
-from aoi_isac.structure import (check_delta_monotone, check_monotone,
+from aoi_isac.solver import extract_policy, value_iteration
+from aoi_isac.structure import (check_delta_monotone, check_greedy,
+                                check_increasing_differences, check_monotone,
                                 check_q_submodular, check_single_crossing,
                                 check_submodular, check_threshold_monotone,
                                 run_all_checks)
@@ -49,6 +50,48 @@ def test_submodular_pass_and_fail():
     assert not r.passed
     assert len(r.violations) == (n - 1) ** 2  # every block, cross-difference +1
     assert all(v[2] == pytest.approx(1.0) for v in r.violations)
+
+
+def test_increasing_differences_pass_and_fail():
+    n = 6
+    p = make(a_max=n - 1)
+    r = check_increasing_differences(grid_outer(n, lambda i, j: i * j), p)
+    assert r.passed and r.tolerance == 1e-9
+    r = check_increasing_differences(grid_outer(n, lambda i, j: -i * j), p)
+    assert not r.passed
+    rows = [v for v in r.violations if v[0] == "V"]
+    assert len(rows) == (n - 1) ** 2  # every block, cross-difference -1
+    assert all(v[3] == pytest.approx(1.0) for v in rows)
+    assert {v[0] for v in r.violations} <= {"V", "sense", "comm"}
+
+
+def test_increasing_differences_tolerance_is_at_least_8_ulps_of_max_v():
+    p = make(a_max=5)
+    V = grid_outer(6, lambda i, j: 1e6 + i * j)
+    r = check_increasing_differences(V, p, tol=1e-15)
+    assert r.passed and r.tolerance == 8 * np.spacing(V.max())
+    assert check_increasing_differences(V, p, tol=1.0).tolerance == 1.0
+
+
+def test_greedy_pass_and_one_flip():
+    p = make(a_max=12)
+    V, _, _ = value_iteration(p, tol=1e-9)
+    policy = extract_policy(V, p)
+    assert check_greedy(V, policy, p).passed
+    d = delta_grid(V, p)
+    i, j = np.unravel_index(np.argmax(np.abs(d)), d.shape)
+    policy[i, j] ^= 1
+    r = check_greedy(V, policy, p)
+    assert r.violations == [(i, j, d[i, j])] and abs(d[i, j]) > r.tolerance
+
+
+def test_greedy_accepts_either_action_where_delta_is_zero():
+    p = make(a_max=4, c_c=IV["c_s"])
+    V = np.zeros(p.grid_shape)
+    assert not delta_grid(V, p).any()
+    policy = extract_policy(V, p)
+    policy[2, 3] ^= 1
+    assert check_greedy(V, policy, p).passed
 
 
 def test_delta_monotone_constant_v():
@@ -162,8 +205,8 @@ def test_run_all_checks_order_and_certified_subset():
     assert rep.converged
     reports = run_all_checks(V, policy, p)
     names = [r.check_name for r in reports]
-    assert names == ["monotone", "submodular", "delta_monotone", "q_submodular",
-                     "single_crossing", "threshold_monotone"]
+    assert names == ["monotone", "increasing_differences", "delta_monotone",
+                     "greedy", "single_crossing", "threshold_monotone"]
     by_name = {r.check_name: r for r in reports}
     # the threshold-structure certificate holds on every solved instance
     for name in ("monotone", "delta_monotone", "single_crossing",
