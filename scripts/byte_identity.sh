@@ -36,7 +36,13 @@
 # the value reader's line path copies the reference solve with value.csv
 # rows rewritten into text no write produces (row 3's cells cut to four
 # decimals, a 1.5e1 cell in row 7, a "+" sign in row 9), which the array
-# parser turns down, and runs `verify` on it. A
+# parser turns down, and runs `verify` on it. Three legs copy the
+# reference solve into grids that fail the verdict, so the violation lists
+# themselves are compared; `verify` exits 4 on each: value.csv with a "9"
+# put in front of row 10's second cell (monotone, increasing_differences,
+# delta_monotone and greedy violations), an all-sense policy.csv (greedy
+# violations), and a policy.csv with row 0 and the alpha_b=6 column set to
+# comm (greedy, single_crossing and threshold_monotone violations). A
 # leg at the action draw's threshold edges, 0 and 2^53, runs `simulate`
 # (seed 1, reference config) under random_bernoulli:0 and random_bernoulli:1.
 # A leg at huge costs, c_s=c_c=1e140 (gamma=0.95, a_max=30), runs `solve`,
@@ -138,6 +144,22 @@ run_side() {
                -e '/^7,/s/^7,[^,]*/7,1.5e1/' -e '/^9,/s/,([0-9])/,+\1/' \
             reference/solve/value.csv > edges/rewritten_values/value.csv
         aoi verify "${reference[@]}" --output.directory=edges/rewritten_values
+        # grids that fail the verdict: one value cell raised tenfold and
+        # more, an all-sense policy, and a policy with comm in row 0 and in
+        # the alpha_b=6 column
+        mkdir -p edges/failing_value edges/failing_sense edges/failing_comm
+        cp reference/solve/policy.csv edges/failing_value/
+        sed -E '/^10,/s/^(10,[^,]*,)/\19/' reference/solve/value.csv \
+            > edges/failing_value/value.csv
+        cp reference/solve/value.csv edges/failing_sense/
+        sed -E '/^[0-9]+,/s/,1/,0/g' reference/solve/policy.csv \
+            > edges/failing_sense/policy.csv
+        cp reference/solve/value.csv edges/failing_comm/
+        sed -E -e '/^0,/s/,0/,1/g' -e '/^[0-9]+,/s/^([0-9]+(,[01]){6}),0/\1,1/' \
+            reference/solve/policy.csv > edges/failing_comm/policy.csv
+        for leg in failing_value failing_sense failing_comm; do
+            aoi verify "${reference[@]}" --output.directory="edges/$leg"
+        done
         for policy in random_bernoulli:0 random_bernoulli:1; do
             aoi simulate --policy="$policy" "${reference[@]}" --sim.seed=1 \
                 --output.directory="edges/${policy/:/_}"

@@ -198,12 +198,16 @@ def extract_thresholds(policy: np.ndarray) -> tuple[np.ndarray, bool]:
 
 
 # Fail-chain weights prod gamma (1 - p) below this are zeroed. Each anchor's
-# chain starts at weight 1, so a dropped term of u (weight * stage cost) or
-# of W (weight * gamma p) is under 1e-200 of a weight-1 term of the same
-# kind; summed over at most a_max + 1 steps that is far below double
-# resolution (1.1e-16) unless the stage costs span some 180 orders of
-# magnitude. Left in, the weights decay into subnormals, and LU on them runs
-# several times slower (1,999 anchors: 0.64 s against 0.20 s).
+# chain starts at weight 1, so a dropped term of W (weight * gamma p) is
+# under 1e-200 of a weight-1 term; summed over at most a_max + 1 steps that
+# is far below double resolution (1.1e-16). u loses nothing: every anchor
+# has alpha_s >= 1, so every cost in u is at least 1 and a chain's sum is
+# at least 1 from its first term, of weight 1; costs are at most
+# MAX_VALUE_BOUND = 1e150 (the corner's scaled one too), so a dropped term
+# is below 1e-50, under half an ulp of any partial sum, and u is bit for
+# bit the sum without the cut-off. Left in, the weights decay into
+# subnormals, and LU on them runs several times slower (1,999 anchors:
+# 0.64 s against 0.20 s).
 _NEGLIGIBLE_WEIGHT = 1e-200
 
 # (steps, anchors) cells that one block of the fail-chain walk handles; bounds

@@ -10,12 +10,16 @@ accumulated by the solver. A cross-difference adds four values near max V,
 so its rounding scales with max V: the increasing-differences check widens
 the tolerance to at least 8 ulps of max |V| and reports the one it used.
 
-check_submodular and check_q_submodular test the opposite sign and stay
-out of the verdict. They report violations on solved grids, and those are
-real, not rounding: the 2x2 cross-differences of a solved value grid and of
-its Q grids are nonnegative and positive along the switching curve. The
-acceptance suite checks this sign on every swept instance, and proves it
-for the value grid in exact arithmetic on a 16-state instance.
+Every difference check lists, through one signed kernel, the cells of a
+difference array (along an age, or across 2x2 blocks) where the sign times
+the difference exceeds the tolerance. increasing_differences and
+submodular are its two signs on the cross-differences; check_submodular
+and check_q_submodular stay out of the verdict. They report violations on
+solved grids, and those are real, not rounding: the 2x2 cross-differences
+of a solved value grid and of its Q grids are nonnegative and positive
+along the switching curve. The acceptance suite checks this sign on every
+swept instance, and proves it for the value grid in exact arithmetic on a
+16-state instance.
 
 Violations are collected exhaustively in row-major coordinate order, never
 truncated, so counterexamples can be inspected. Checks that quantify over
@@ -67,36 +71,49 @@ class StructureReport:
 
 
 def _listed(mask: np.ndarray, values: np.ndarray, *label) -> list:
-    """(*label, i, j, values[i, j]) for every True cell of mask, row-major."""
-    i, j = np.nonzero(mask)
-    return [(*label, a, b, v)
-            for a, b, v in zip(i.tolist(), j.tolist(), values[i, j].tolist())]
+    """(*label, *index, values[index]) for every True cell of mask, row-major."""
+    index = np.nonzero(mask)
+    return [(*label, *cell)
+            for cell in zip(*(i.tolist() for i in index), values[index].tolist())]
 
 
-def _axis_drops(grid: np.ndarray, axis: int, tol: float, label: str) -> list:
-    """Violations of nondecreasing-along-axis, as (label, i, j, magnitude)."""
-    drop = -np.diff(grid, axis=axis)
-    return _listed(drop > tol, drop, label)
+def _excesses(values: np.ndarray, tol: float, sign: int, *label) -> list:
+    """The cells of a fresh difference array where sign * values exceeds
+    tol, listed with that excess; sign -1 negates values in place, exactly."""
+    if sign < 0:
+        np.negative(values, out=values)
+    return _listed(values > tol, values, *label)
+
+
+def _cross(grid: np.ndarray) -> np.ndarray:
+    """Cross-differences grid(a+1,b+1) + grid(a,b) - grid(a+1,b) - grid(a,b+1)."""
+    return grid[1:, 1:] + grid[:-1, :-1] - grid[1:, :-1] - grid[:-1, 1:]
+
+
+def _interior(params: ModelParams) -> str:
+    """The region of the checks on the unclamped interior."""
+    return f"interior alpha_s, alpha_b <= {params.a_max - 1} (saturated row/column skipped)"
+
+
+def _q_excesses(V: np.ndarray, params: ModelParams, tol: float, sign: int) -> list:
+    """Cross-difference excesses of both Q grids on the unclamped interior."""
+    interior = (slice(params.a_max), slice(params.a_max))
+    return [v for label, q in zip(("sense", "comm"), q_grids(V, params))
+            for v in _excesses(_cross(q[interior]), tol, sign, label)]
 
 
 def check_monotone(V: np.ndarray, tol: float = DEFAULT_TOL) -> StructureReport:
     """Coordinatewise nondecreasing in both ages, over all adjacent pairs."""
     V = np.asarray(V, dtype=float)
-    violations = _axis_drops(V, 0, tol, "alpha_s") + _axis_drops(V, 1, tol, "alpha_b")
+    violations = (_excesses(np.diff(V, axis=0), tol, -1, "alpha_s")
+                  + _excesses(np.diff(V, axis=1), tol, -1, "alpha_b"))
     return StructureReport("monotone", violations, tol)
-
-
-def _submodular_excesses(grid: np.ndarray, tol: float, *label) -> list:
-    """Positive cross-differences on 2x2 blocks, as (*label, a, b, excess)."""
-    excess = grid[1:, 1:] + grid[:-1, :-1] - grid[1:, :-1] - grid[:-1, 1:]
-    return _listed(excess > tol, excess, *label)
 
 
 def check_submodular(V: np.ndarray, tol: float = DEFAULT_TOL) -> StructureReport:
     """V(a+1,b+1) + V(a,b) <= V(a+1,b) + V(a,b+1) on every 2x2 block."""
     V = np.asarray(V, dtype=float)
-    violations = _submodular_excesses(V, tol)
-    return StructureReport("submodular", violations, tol)
+    return StructureReport("submodular", _excesses(_cross(V), tol, 1), tol)
 
 
 def check_increasing_differences(V: np.ndarray, params: ModelParams,
@@ -107,16 +124,10 @@ def check_increasing_differences(V: np.ndarray, params: ModelParams,
     cross-difference of values near max V."""
     V = np.asarray(V, dtype=float)
     tol = max(tol, 8 * float(np.spacing(np.abs(V).max())))
-    q_sense, q_comm = q_grids(V, params)
-    interior = (slice(params.a_max), slice(params.a_max))
-    violations = (_submodular_excesses(-V, tol, "V")
-                  + _submodular_excesses(-q_sense[interior], tol, "sense")
-                  + _submodular_excesses(-q_comm[interior], tol, "comm"))
-    return StructureReport(
-        "increasing_differences", violations, tol,
-        region=f"V: full grid; Q: interior alpha_s, alpha_b <= "
-               f"{params.a_max - 1} (saturated row/column skipped)",
-    )
+    violations = (_excesses(_cross(V), tol, -1, "V")
+                  + _q_excesses(V, params, tol, -1))
+    return StructureReport("increasing_differences", violations, tol,
+                           region=f"V: full grid; Q: {_interior(params)}")
 
 
 def check_delta_monotone(V: np.ndarray, params: ModelParams,
@@ -124,15 +135,11 @@ def check_delta_monotone(V: np.ndarray, params: ModelParams,
     """Action difference nondecreasing in alpha_s and nonincreasing in
     alpha_b, on the unclamped interior."""
     d = delta_grid(V, params)[: params.a_max, : params.a_max]
-    violations = _axis_drops(d, 0, tol, "alpha_s")
-    rise = np.diff(d, axis=1)
-    violations += _listed(rise > tol, rise, "alpha_b")
-    return StructureReport(
-        "delta_monotone", violations, tol,
-        region=f"interior alpha_s, alpha_b <= {params.a_max - 1} "
-               f"(saturated row/column skipped)",
-        lambda_ordering_ok=params.lambda_ordering_ok,
-    )
+    violations = (_excesses(np.diff(d, axis=0), tol, -1, "alpha_s")
+                  + _excesses(np.diff(d, axis=1), tol, 1, "alpha_b"))
+    return StructureReport("delta_monotone", violations, tol,
+                           region=_interior(params),
+                           lambda_ordering_ok=params.lambda_ordering_ok)
 
 
 def check_q_submodular(V: np.ndarray, params: ModelParams,
@@ -140,15 +147,8 @@ def check_q_submodular(V: np.ndarray, params: ModelParams,
     """2x2-block submodularity of both action-value grids on the unclamped
     interior. Passes whenever V is monotone and submodular. A solved V is
     not submodular, and its Q grids fail this check as well."""
-    q_sense, q_comm = q_grids(V, params)
-    interior = (slice(params.a_max), slice(params.a_max))
-    violations = (_submodular_excesses(q_sense[interior], tol, "sense")
-                  + _submodular_excesses(q_comm[interior], tol, "comm"))
-    return StructureReport(
-        "q_submodular", violations, tol,
-        region=f"interior alpha_s, alpha_b <= {params.a_max - 1} "
-               f"(saturated row/column skipped)",
-    )
+    return StructureReport("q_submodular", _q_excesses(V, params, tol, 1), tol,
+                           region=_interior(params))
 
 
 def check_greedy(V: np.ndarray, policy: np.ndarray, params: ModelParams,
@@ -165,12 +165,8 @@ def check_greedy(V: np.ndarray, policy: np.ndarray, params: ModelParams,
 def check_threshold_monotone(tau: np.ndarray) -> StructureReport:
     """Switching curve nondecreasing in alpha_b; thresholds are integers so
     no tolerance applies."""
-    tau = np.asarray(tau)
-    drop = -np.diff(tau)
-    bad = np.flatnonzero(drop > 0)
-    violations = [(int(j), int(drop[j])) for j in bad]
-    return StructureReport("threshold_monotone", violations, tolerance=0.0,
-                           region="tau over alpha_b")
+    return StructureReport("threshold_monotone", _excesses(np.diff(tau), 0, -1),
+                           tolerance=0.0, region="tau over alpha_b")
 
 
 def check_single_crossing(policy: np.ndarray) -> StructureReport:

@@ -231,7 +231,11 @@ def test_nan_solver_tol_is_rejected_and_named(tmp_path, capsys):
     ('{"model": 5}', "config section 'model' must be an object"),
     ('{"modle": {}}', "unknown config section 'modle'"),
     ('{"model": ', "run.json: invalid JSON"),
-], ids=["n", "horizon", "s0", "document", "section", "unknown-section", "json"])
+    ('{"output": {"formats": ["csv", "xml"]}}',
+     "output.formats entry 'xml' not one of ('csv', 'json', 'ascii')"),
+    ('{"output": {"formats": []}}', "output.formats must not be empty"),
+], ids=["n", "horizon", "s0", "document", "section", "unknown-section", "json",
+        "formats-entry", "formats-empty"])
 def test_rejected_config_file_exits_2_naming_it(tmp_path, capsys, document, named):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(document)

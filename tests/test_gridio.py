@@ -289,6 +289,26 @@ def test_pgm_matches_per_cell_formatting(grid):
     assert gridio.value_pgm_text(grid) == pgm_per_cell(grid)
 
 
+def test_grid_csv_text_turns_down_a_non_square_grid():
+    with pytest.raises(ValueError, match=r"grid must be square, got shape \(3, 4\)"):
+        gridio.grid_csv_text(np.zeros((3, 4)))
+
+
+@pytest.mark.parametrize("integer", [False, True])
+def test_grid_without_a_final_newline_reads_through_the_line_reader(tmp_path,
+                                                                   integer):
+    rng = np.random.default_rng(33)
+    grid = (rng.integers(0, 2, size=(4, 4)) if integer
+            else rng.uniform(-5.0, 5.0, size=(4, 4)))
+    path = tmp_path / "g.csv"
+    path.write_text(gridio.grid_csv_text(grid, ["c"]).rstrip("\n"))
+    assert gridio._parse_grid(path, integer) is None
+    read, comments = gridio._read_grid(path, integer)
+    assert comments == ["c"]
+    assert read.dtype == (np.int8 if integer else float)
+    assert np.array_equal(read, grid)
+
+
 def test_pgm_matches_per_cell_formatting_on_every_level():
     grid = np.random.default_rng(5).permutation(np.linspace(-3.0, 7.0, 400))
     text = gridio.value_pgm_text(grid.reshape(20, 20))

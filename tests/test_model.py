@@ -1,6 +1,7 @@
 """Unit tests for the MDP primitives: transitions, costs, Q-values, delta."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,12 @@ IV = dict(lambda_s=0.6, lambda_c=0.9, c_s=0.2, c_c=0.1, gamma=0.95)
 
 def make(a_max=30, **overrides):
     return ModelParams(**{**IV, **overrides, "a_max": a_max})
+
+
+@pytest.mark.parametrize("a_max", [math.inf, math.nan])
+def test_a_max_of_inf_or_nan_is_rejected(a_max):
+    with pytest.raises(ValueError, match=f"a_max must be an integer .* got {a_max}"):
+        make(a_max=a_max)
 
 
 def test_param_validation():

@@ -237,7 +237,7 @@ def lane_draws(root, keys, which, horizon, columns):
 
 
 @pytest.mark.parametrize("entropy", [0, 1, 2**32, 2**64 + 5, 2**200,
-                                     [7, 2**40, 3]])
+                                     [7, 2**40, 3], ["0x10", 3]])
 def test_streams_equal_numpys_bit_for_bit(entropy):
     roots = [np.random.SeedSequence(entropy),
              np.random.SeedSequence(entropy).spawn(3)[2],  # rollout(seed=child)

@@ -226,6 +226,11 @@ def test_evaluate_policy_matches_dense_solve():
     assert np.all(V >= 0.0) and np.all(V <= p.value_upper_bound)
 
 
+def test_evaluate_policy_rejects_a_policy_of_the_wrong_shape():
+    with pytest.raises(ValueError, match=r"policy shape \(5, 5\) != \(6, 6\)"):
+        evaluate_policy(np.zeros((5, 5), dtype=int), make(a_max=5))
+
+
 def evaluate_policy_step_by_step(policy, p):
     """Reference: the anchor evaluation walking every fail chain one step at
     a time, with grid-sized successor gathers of ``dynamics``."""

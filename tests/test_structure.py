@@ -160,6 +160,64 @@ def test_delta_direction_properties_for_f_members():
                 assert rise[i, j] <= 1e-12
 
 
+def listed(excess, tol, *label):
+    """(*label, i, j, excess) wherever excess > tol, row-major."""
+    i, j = np.nonzero(excess > tol)
+    return [(*label, a, b, v)
+            for a, b, v in zip(i.tolist(), j.tolist(), excess[i, j].tolist())]
+
+
+def cross(grid):
+    return grid[1:, 1:] + grid[:-1, :-1] - grid[1:, :-1] - grid[:-1, 1:]
+
+
+def typed(violations):
+    return [(v, tuple(type(x) for x in v)) for v in violations]
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-9, 1e-3])
+def test_difference_checks_list_what_their_formulas_give(tol):
+    """Each difference check lists exactly what its defining formula gives,
+    values, order and Python types alike: a drop is -np.diff, increasing
+    differences are the cross-differences of the negated grid, and a
+    threshold drop is (int(j), int(drop))."""
+    rng = np.random.default_rng(31)
+    listed_any = 0
+    for k in range(40):
+        p = make(a_max=int(rng.integers(2, 9)))
+        a = p.a_max
+        # integer-valued grids have differences of exactly 0
+        V = (rng.integers(-2, 3, p.grid_shape).astype(float) if k % 4 == 0
+             else rng.normal(size=p.grid_shape) * rng.choice([1e-3, 1.0, 50.0]))
+        V *= rng.choice([-1.0, 1.0])
+        q = [g[:a, :a] for g in q_grids(V, p)]
+        d = delta_grid(V, p)[:a, :a]
+        r = check_increasing_differences(V, p, tol)
+        t = r.tolerance
+        assert t == max(tol, 8 * np.spacing(np.abs(V).max()))
+        tau = rng.integers(-1, a + 1, a + 1)
+        drop = -np.diff(tau)
+        expected = [
+            (check_monotone(V, tol),
+             listed(-np.diff(V, axis=0), tol, "alpha_s")
+             + listed(-np.diff(V, axis=1), tol, "alpha_b")),
+            (check_submodular(V, tol), listed(cross(V), tol)),
+            (r, listed(cross(-V), t, "V") + listed(cross(-q[0]), t, "sense")
+             + listed(cross(-q[1]), t, "comm")),
+            (check_delta_monotone(V, p, tol),
+             listed(-np.diff(d, axis=0), tol, "alpha_s")
+             + listed(np.diff(d, axis=1), tol, "alpha_b")),
+            (check_q_submodular(V, p, tol),
+             listed(cross(q[0]), tol, "sense") + listed(cross(q[1]), tol, "comm")),
+            (check_threshold_monotone(tau),
+             [(int(j), int(drop[j])) for j in np.flatnonzero(drop > 0)]),
+        ]
+        for report, want in expected:
+            assert typed(report.violations) == typed(want), report.check_name
+            listed_any += len(want)
+    assert listed_any > 0
+
+
 def test_threshold_monotone():
     assert check_threshold_monotone(np.array([2, 2, 2, 2])).passed
     r = check_threshold_monotone(np.array([0, 2, 1]))
