@@ -52,6 +52,11 @@
 # at gamma=1e-6 and no costs runs `solve` and `verify` at a_max 30 and
 # 300: value.csv's row 0 is about 1e-6, below the 17-digit kernel's range,
 # and the rows after it are in it, so the writer's first block mixes both.
+# A leg where the policy evaluation's cut-off ends fail chains earliest
+# runs `solve` and `verify` at a_max=300, lambda_s=0.3, lambda_c=0.5 and
+# gamma=0.99: the cut-off derived from the value bound ends sense chains
+# about 130 steps into their 300, where a fixed 1e-200 walks them to the
+# corner.
 # The top-level `--help` and each command's `--help`, at COLUMNS=80, are
 # captured into help/, so a change to the CLI surface shows as a diff.
 # Each command's exit code is appended to exit_codes.txt in the compared
@@ -216,6 +221,10 @@ run_side() {
             aoi solve "${tiny[@]}" --output.directory="edges/gamma_1e-6-$a_max"
             aoi verify "${tiny[@]}" --output.directory="edges/gamma_1e-6-$a_max"
         done
+        slow=(--model.lambda_s=0.3 --model.lambda_c=0.5 --model.c_s=0.2
+              --model.c_c=0.1 --model.gamma=0.99 --model.a_max=300)
+        aoi solve "${slow[@]}" --output.directory=edges/early_cutoff
+        aoi verify "${slow[@]}" --output.directory=edges/early_cutoff
     )
 }
 

@@ -197,19 +197,6 @@ def extract_thresholds(policy: np.ndarray) -> tuple[np.ndarray, bool]:
     return tau, single_crossing_ok
 
 
-# Fail-chain weights prod gamma (1 - p) below this are zeroed. Each anchor's
-# chain starts at weight 1, so a dropped term of W (weight * gamma p) is
-# under 1e-200 of a weight-1 term; summed over at most a_max + 1 steps that
-# is far below double resolution (1.1e-16). u loses nothing: every anchor
-# has alpha_s >= 1, so every cost in u is at least 1 and a chain's sum is
-# at least 1 from its first term, of weight 1; costs are at most
-# MAX_VALUE_BOUND = 1e150 (the corner's scaled one too), so a dropped term
-# is below 1e-50, under half an ulp of any partial sum, and u is bit for
-# bit the sum without the cut-off. Left in, the weights decay into
-# subnormals, and LU on them runs several times slower (1,999 anchors:
-# 0.64 s against 0.20 s).
-_NEGLIGIBLE_WEIGHT = 1e-200
-
 # (steps, anchors) cells that one block of the fail-chain walk handles; bounds
 # its working memory (about 100 bytes a cell) whatever a_max is
 _CELLS_PER_BLOCK = 1 << 13
@@ -273,6 +260,22 @@ def evaluate_policy(policy: np.ndarray, params: ModelParams) -> np.ndarray:
     first_s, first_b = np.divmod(anchors, n)
     # the chains whose weight is not yet zero (the rest would add zeros)
     live, weight = np.arange(m), np.ones(m)
+    # Fail-chain weights prod gamma (1 - p) below this cut-off are zeroed,
+    # and u is bit for bit the sum without it. Every anchor has
+    # alpha_s >= 1, so a chain's first term, of weight 1, is at least 1 and
+    # so is every partial sum (no term is negative). Weights never grow
+    # (q <= gamma < 1), and every cost on a chain is at most
+    # value_upper_bound, the corner's cost scaled by 1 / (1 - q) too. So a
+    # dropped term is below 2^-54, while half an ulp of a sum of at least 1
+    # is at least 2^-53 (the factor of 2 covers the rounding of the bound
+    # and of the product): added, it would leave the sum's bits unchanged.
+    # W is not covered: a dropped term can be the first of its cell. That y,
+    # and so V, stays bit for bit is observed only (tests/test_solver.py).
+    # The bound is at most MAX_VALUE_BOUND = 1e150, so the cut-off is above
+    # 5e-167: no chain walks further than under a fixed 1e-200. Left in, the
+    # weights decay into subnormals, and LU on them runs several times
+    # slower (1,999 anchors: 0.64 s against 0.20 s).
+    negligible = 2.0 ** -54 / params.value_upper_bound
     steps_per_block = max(1, _CELLS_PER_BLOCK // m)
     # the corner ends every chain by step a_max
     for lo in range(0, top + 1, steps_per_block):
@@ -285,7 +288,7 @@ def evaluate_policy(policy: np.ndarray, params: ModelParams) -> np.ndarray:
         weights[0] = weight
         q.take(at, out=weights[1:])
         np.multiply.accumulate(weights, axis=0, out=weights)
-        weights[weights < _NEGLIGIBLE_WEIGHT] = 0.0
+        weights[weights < negligible] = 0.0
         weight, weights = weights[-1], weights[:-1]
         terms = g.take(at)
         terms *= weights
@@ -312,9 +315,11 @@ def evaluate_policy(policy: np.ndarray, params: ModelParams) -> np.ndarray:
     V += g
     del comm, gp, g
     shifted = np.empty_like(V)
-    for r in range(top.bit_length()):  # 2^rounds > a_max chain steps
+    rounds = top.bit_length()  # 2^rounds > a_max chain steps
+    for r in range(rounds):
         V += np.multiply(_fail_successor(V, 1 << r, shifted), q, out=shifted)
-        q *= _fail_successor(q, 1 << r, shifted)
+        if r + 1 < rounds:  # the last round's q would go unread
+            q *= _fail_successor(q, 1 << r, shifted)
     return V
 
 

@@ -7,9 +7,10 @@ import numpy as np
 import pytest
 
 from aoi_isac import solver
-from aoi_isac.model import Action, ModelParams, delta_grid, dynamics
-from aoi_isac.solver import (_NEGLIGIBLE_WEIGHT, _fail_successor, _improve,
-                             bellman_backup, evaluate_policy, extract_policy,
+from aoi_isac.model import (MAX_VALUE_BOUND, Action, ModelParams, delta_grid,
+                            dynamics)
+from aoi_isac.solver import (_fail_successor, _improve, bellman_backup,
+                             evaluate_policy, extract_policy,
                              extract_thresholds, solve, value_iteration)
 from reference import (_linear_systems, exhaustive_policy_oracle,
                        policy_iteration, q_value)
@@ -231,9 +232,22 @@ def test_evaluate_policy_rejects_a_policy_of_the_wrong_shape():
         evaluate_policy(np.zeros((5, 5), dtype=int), make(a_max=5))
 
 
-def evaluate_policy_step_by_step(policy, p):
-    """Reference: the anchor evaluation walking every fail chain one step at
-    a time, with grid-sized successor gathers of ``dynamics``."""
+# The step walk drops fail-chain weights below this fixed cut-off. It lies
+# under evaluate_policy's derived one (at least about 5.6e-167), so every
+# bit-for-bit equality with the walk checks that the derived cut-off, which
+# ends chains earlier, changes no bit of V
+FIXED_CUTOFF = 1e-200
+
+
+def derived_cutoff(p):
+    """The weight below which ``evaluate_policy`` ends a fail chain."""
+    return 2.0 ** -54 / p.value_upper_bound
+
+
+def step_walk_tables(policy, p):
+    """The step walk's flat tables (g, gp, q, fail, anchors, slot), with the
+    corner's fail self-loop folded into its g and gp, built from grid-sized
+    successor gathers of ``dynamics``."""
     n = p.n_ages
     ages = np.arange(n)
     succ, fail, cost = dynamics(ages[:, None], ages[None, :], p)
@@ -254,6 +268,13 @@ def evaluate_policy_step_by_step(policy, p):
     q[corner] = 0.0
     anchors = np.flatnonzero(np.bincount(succ_idx, minlength=n * n))
     slot = np.searchsorted(anchors, succ_idx)
+    return g, gp, q, fail, anchors, slot
+
+
+def evaluate_policy_step_by_step(policy, p):
+    """Reference: the anchor evaluation walking every fail chain one step at
+    a time, dropping weights below ``FIXED_CUTOFF``."""
+    g, gp, q, fail, anchors, slot = step_walk_tables(policy, p)
     rows = np.arange(anchors.size)
     u = np.zeros(anchors.size)
     W = np.zeros((anchors.size, anchors.size))
@@ -262,7 +283,7 @@ def evaluate_policy_step_by_step(policy, p):
         u += weight * g[at]
         W[rows, slot[at]] += weight * gp[at]
         weight = weight * q[at]
-        weight[weight < _NEGLIGIBLE_WEIGHT] = 0.0
+        weight[weight < FIXED_CUTOFF] = 0.0
         at = fail[at]
     W *= -1.0
     W[rows, rows] += 1.0
@@ -296,15 +317,57 @@ def test_evaluate_policy_is_exact_across_the_parameter_grid(lambdas, gamma, a_ma
 
 def test_evaluate_policy_equals_the_step_walk_on_a_large_grid():
     # all comm, whose anchors are the a_max diagonal states: weights
-    # (q = 0.95 * 0.1) fall below the cutoff at step 197 of chains up to 300
-    # steps long, inside a block of steps
+    # (q = 0.95 * 0.1) fall below the derived cut-off at step 20 of chains up
+    # to 300 steps long, inside a block of steps
     p = make(a_max=300)
     q = p.gamma * (1.0 - p.lambda_c)
-    crossing = int(np.ceil(np.log(_NEGLIGIBLE_WEIGHT) / np.log(q)))
+    crossing = int(np.ceil(np.log(derived_cutoff(p)) / np.log(q)))
     assert 0 < crossing % (solver._CELLS_PER_BLOCK // p.a_max) and crossing < p.a_max
     for policy in (np.full(p.grid_shape, Action.COMM), solve(p)[1]):
         assert np.array_equal(evaluate_policy(policy, p),
                               evaluate_policy_step_by_step(policy, p))
+
+
+def chains_cut_short_of_the_corner(policy, p):
+    """The number of anchors whose fail chain the derived cut-off ends at a
+    state short of the corner, while ``FIXED_CUTOFF`` walks it on."""
+    _, _, q, fail, anchors, _ = step_walk_tables(policy, p)
+    corner = p.n_ages ** 2 - 1
+    derived = derived_cutoff(p)
+    at, weight = anchors, np.ones(anchors.size)
+    cut = np.zeros(anchors.size, dtype=bool)
+    for _ in range(p.a_max):
+        weight = weight * q[at]
+        at = fail[at]
+        cut |= (at != corner) & (FIXED_CUTOFF <= weight) & (weight < derived)
+    return int(np.count_nonzero(cut))
+
+
+def test_evaluate_policy_equals_the_fixed_cutoff_walk_on_seeded_instances():
+    # links, costs, gamma, a_max and policy drawn per instance; links of 0.5
+    # to 1 and costs of at most 1e3 let some chains fall below the derived
+    # cut-off within 60 steps
+    rng = np.random.default_rng(54)
+    cut = 0
+    for i in range(40):
+        links = rng.choice([0.0, 1.0, rng.uniform(), rng.uniform(0.5, 1.0)], 2)
+        costs = rng.choice([0.0, 1e140, 10.0 ** rng.uniform(-3, 3),
+                            10.0 ** rng.uniform(3, 140)], 2, p=[0.2, 0.1, 0.5, 0.2])
+        p = ModelParams(lambda_s=links[0], lambda_c=links[1], c_s=costs[0],
+                        c_c=costs[1], gamma=rng.choice([0.0, 0.5, 0.95, 0.999]),
+                        a_max=int(rng.integers(2, 61)))
+        policy = (rng.integers(0, 2, p.grid_shape), np.full(p.grid_shape, Action.SENSE),
+                  np.full(p.grid_shape, Action.COMM))[i % 3]
+        assert np.array_equal(evaluate_policy(policy, p),
+                              evaluate_policy_step_by_step(policy, p))
+        cut += chains_cut_short_of_the_corner(policy, p)
+    assert cut > 0  # else the campaign never tells the two cut-offs apart
+
+
+def test_derived_cutoff_is_at_least_the_fixed_one_at_the_largest_value_bound():
+    p = make(a_max=2000, c_s=0.5 * MAX_VALUE_BOUND - 2000, gamma=0.5)
+    assert 0.99 * MAX_VALUE_BOUND <= p.value_upper_bound <= MAX_VALUE_BOUND
+    assert derived_cutoff(p) >= FIXED_CUTOFF
 
 
 @pytest.mark.parametrize("cells", [1, 2000, 1 << 15])
