@@ -18,7 +18,7 @@ see it hug the switching curve, and the count of Q-grid blocks beside it.
 import numpy as np
 
 from aoi_isac import (check_q_submodular, check_submodular,
-                      default_model_params, extract_thresholds,
+                      default_model_params, extract_thresholds, q_grids,
                       run_all_checks, solve)
 
 
@@ -50,7 +50,7 @@ def main():
             print("  " + row)
         print("the band tracks the switching curve: these are the mixed-action "
               "blocks where min(Q_sense, Q_comm) loses submodularity")
-        q = check_q_submodular(V, params)
+        q = check_q_submodular(q_grids(V, params))
         print(f"Q grids: {len(q.violations)} blocks with a positive "
               f"cross-difference ({q.region})")
 

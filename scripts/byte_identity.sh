@@ -13,10 +13,11 @@
 # 1 and 7 under every named policy and under the solved policy.csv,
 # `simulate` with a seed of more than 64 bits, and `sweep` of c_c. Legs at
 # the solver's edges follow: `solve` and `verify` at the smallest grid
-# (a_max=2), `solve` at the large grid a_max=1000 (a 1,002,001-cell
-# value.csv and PGM, which the real-grid writer takes in many blocks),
-# `solve` at gamma=0.999 (a_max=30, 8 sweeps and one policy evaluation)
-# with `sweep` of gamma over 0.99,0.999, a `solve` cut off by
+# (a_max=2), `solve` and `verify` at the large grid a_max=1000 (a
+# 1,002,001-cell value.csv and PGM, which the real-grid writer takes in
+# many blocks, and a verdict on Q grids and an action difference of that
+# size), `solve` at gamma=0.999 (a_max=30, 8 sweeps and one policy
+# evaluation) with `sweep` of gamma over 0.99,0.999, a `solve` cut off by
 # --solver.max_iter=5, before the jump to policy iteration, and one cut off
 # after it by --solver.tol=1e-15 --solver.max_iter=10 (both exit 3 with
 # partial artifacts). Then `solve` and `verify` at the edges of the
@@ -174,6 +175,8 @@ run_side() {
         aoi verify "${model[@]}" --model.gamma=0.95 --model.a_max=2 \
             --output.directory=edges/a_max_2
         aoi solve "${model[@]}" --model.gamma=0.95 --model.a_max=1000 \
+            --output.directory=edges/a_max_1000
+        aoi verify "${model[@]}" --model.gamma=0.95 --model.a_max=1000 \
             --output.directory=edges/a_max_1000
         aoi solve "${model[@]}" --model.gamma=0.999 --model.a_max=30 \
             --output.directory=edges/gamma_0.999

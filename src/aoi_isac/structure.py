@@ -1,14 +1,17 @@
 """Numerical certificates for the structural properties of solved grids.
 
-Each check is a pure function returning a StructureReport. run_all_checks
-runs the six that a solved (V, policy) pair passes: coordinatewise
-monotonicity of V, increasing differences of V and of both action-value
-grids, single-crossing and antitone behaviour of the action difference, a
-policy greedy for V, and monotonicity of the switching curve. Inequalities
-are tested up to a floating-point tolerance, which only absorbs rounding
-accumulated by the solver. A cross-difference adds four values near max V,
-so its rounding scales with max V: the increasing-differences check widens
-the tolerance to at least 8 ulps of max |V| and reports the one it used.
+Each check is a pure predicate on the grid it tests, returning a
+StructureReport: V, its Q grids as q_grids stacks them, the action
+difference d = Q_sense - Q_comm, a policy or its switching curve.
+run_all_checks derives Q and d from V, each once, and runs the six checks
+that a solved (V, policy) pair passes: coordinatewise monotonicity of V,
+increasing differences of V and of both Q grids, single-crossing and
+antitone behaviour of d, a policy greedy for V, and monotonicity of the
+switching curve. Inequalities are tested up to a floating-point
+tolerance, which only absorbs rounding accumulated by the solver. A
+cross-difference adds four values near max V, so its rounding scales with
+max V: the increasing-differences check widens the tolerance to at least 8
+ulps of max |V| and reports the one it used.
 
 Every difference check lists, through one signed kernel, the cells of a
 difference array (along an age, or across 2x2 blocks) where the sign times
@@ -90,16 +93,17 @@ def _cross(grid: np.ndarray) -> np.ndarray:
     return grid[1:, 1:] + grid[:-1, :-1] - grid[1:, :-1] - grid[:-1, 1:]
 
 
-def _interior(params: ModelParams) -> str:
-    """The region of the checks on the unclamped interior."""
-    return f"interior alpha_s, alpha_b <= {params.a_max - 1} (saturated row/column skipped)"
+def _interior(grid: np.ndarray) -> str:
+    """The region of the checks on the unclamped interior of a grid, or of a
+    Q pair, of n = a_max + 1 ages."""
+    return (f"interior alpha_s, alpha_b <= {grid.shape[-1] - 2} "
+            "(saturated row/column skipped)")
 
 
-def _q_excesses(V: np.ndarray, params: ModelParams, tol: float, sign: int) -> list:
+def _q_excesses(Q: np.ndarray, tol: float, sign: int) -> list:
     """Cross-difference excesses of both Q grids on the unclamped interior."""
-    interior = (slice(params.a_max), slice(params.a_max))
-    return [v for label, q in zip(("sense", "comm"), q_grids(V, params))
-            for v in _excesses(_cross(q[interior]), tol, sign, label)]
+    return [v for label, q in zip(("sense", "comm"), Q)
+            for v in _excesses(_cross(q[:-1, :-1]), tol, sign, label)]
 
 
 def check_monotone(V: np.ndarray, tol: float = DEFAULT_TOL) -> StructureReport:
@@ -116,48 +120,49 @@ def check_submodular(V: np.ndarray, tol: float = DEFAULT_TOL) -> StructureReport
     return StructureReport("submodular", _excesses(_cross(V), tol, 1), tol)
 
 
-def check_increasing_differences(V: np.ndarray, params: ModelParams,
+def check_increasing_differences(V: np.ndarray, Q: np.ndarray,
                                  tol: float = DEFAULT_TOL) -> StructureReport:
     """V(a+1,b+1) + V(a,b) >= V(a+1,b) + V(a,b+1) on every 2x2 block of V,
-    and of both action-value grids on the unclamped interior. The
-    tolerance is at least 8 ulps of max |V|, the rounding of a
-    cross-difference of values near max V."""
+    and of both action-value grids Q (as q_grids returns them) on the
+    unclamped interior. The tolerance is at least 8 ulps of max |V|, the
+    rounding of a cross-difference of values near max V."""
     V = np.asarray(V, dtype=float)
     tol = max(tol, 8 * float(np.spacing(np.abs(V).max())))
     violations = (_excesses(_cross(V), tol, -1, "V")
-                  + _q_excesses(V, params, tol, -1))
+                  + _q_excesses(Q, tol, -1))
     return StructureReport("increasing_differences", violations, tol,
-                           region=f"V: full grid; Q: {_interior(params)}")
+                           region=f"V: full grid; Q: {_interior(Q)}")
 
 
-def check_delta_monotone(V: np.ndarray, params: ModelParams,
+def check_delta_monotone(d: np.ndarray, params: ModelParams,
                          tol: float = DEFAULT_TOL) -> StructureReport:
-    """Action difference nondecreasing in alpha_s and nonincreasing in
-    alpha_b, on the unclamped interior."""
-    d = delta_grid(V, params)[: params.a_max, : params.a_max]
-    violations = (_excesses(np.diff(d, axis=0), tol, -1, "alpha_s")
-                  + _excesses(np.diff(d, axis=1), tol, 1, "alpha_b"))
+    """Action difference d = Q_sense - Q_comm nondecreasing in alpha_s and
+    nonincreasing in alpha_b, on the unclamped interior. params only sets
+    the report's lambda_ordering_ok."""
+    d = np.asarray(d, dtype=float)
+    interior = d[:-1, :-1]
+    violations = (_excesses(np.diff(interior, axis=0), tol, -1, "alpha_s")
+                  + _excesses(np.diff(interior, axis=1), tol, 1, "alpha_b"))
     return StructureReport("delta_monotone", violations, tol,
-                           region=_interior(params),
+                           region=_interior(d),
                            lambda_ordering_ok=params.lambda_ordering_ok)
 
 
-def check_q_submodular(V: np.ndarray, params: ModelParams,
-                       tol: float = DEFAULT_TOL) -> StructureReport:
-    """2x2-block submodularity of both action-value grids on the unclamped
-    interior. Passes whenever V is monotone and submodular. A solved V is
-    not submodular, and its Q grids fail this check as well."""
-    return StructureReport("q_submodular", _q_excesses(V, params, tol, 1), tol,
-                           region=_interior(params))
+def check_q_submodular(Q: np.ndarray, tol: float = DEFAULT_TOL) -> StructureReport:
+    """2x2-block submodularity of both action-value grids Q (as q_grids
+    returns them) on the unclamped interior. Passes whenever V is monotone
+    and submodular. A solved V is not submodular, and its Q grids fail this
+    check as well."""
+    return StructureReport("q_submodular", _q_excesses(Q, tol, 1), tol,
+                           region=_interior(Q))
 
 
-def check_greedy(V: np.ndarray, policy: np.ndarray, params: ModelParams,
+def check_greedy(d: np.ndarray, policy: np.ndarray,
                  tol: float = DEFAULT_TOL) -> StructureReport:
-    """The policy is greedy for V: comm where Q_sense - Q_comm > 0, sense
-    elsewhere. Violations list each state that breaks this rule and whose
-    action difference exceeds tol in magnitude, as (alpha_s, alpha_b,
-    delta)."""
-    d = delta_grid(V, params)
+    """The policy is greedy for the action difference d: comm where d > 0,
+    sense elsewhere. Violations list each state that breaks this rule and
+    whose d exceeds tol in magnitude, as (alpha_s, alpha_b, delta)."""
+    d = np.asarray(d, dtype=float)
     wrong = (np.asarray(policy) != (d > 0)) & (np.abs(d) > tol)
     return StructureReport("greedy", _listed(wrong, d), tol)
 
@@ -186,13 +191,18 @@ def check_single_crossing(policy: np.ndarray) -> StructureReport:
 def run_all_checks(V: np.ndarray, policy: np.ndarray, params: ModelParams,
                    tol: float = DEFAULT_TOL) -> list[StructureReport]:
     """The full certificate: every structural check on a solved (V, policy)
-    pair, in CHECK_NAMES order."""
+    pair, in CHECK_NAMES order, from one Q pair of V (freed after its check)
+    and one action difference. A non-finite V raises ValueError."""
+    V = np.asarray(V, dtype=float)
+    if not np.isfinite(V).all():
+        raise ValueError("the value grid has a non-finite cell")
     tau, _ = extract_thresholds(policy)
-    return [
-        check_monotone(V, tol),
-        check_increasing_differences(V, params, tol),
-        check_delta_monotone(V, params, tol),
-        check_greedy(V, policy, params, tol),
+    reports = [check_monotone(V, tol),
+               check_increasing_differences(V, q_grids(V, params), tol)]
+    d = delta_grid(V, params)
+    return reports + [
+        check_delta_monotone(d, params, tol),
+        check_greedy(d, policy, tol),
         check_single_crossing(policy),
         check_threshold_monotone(tau),
     ]

@@ -78,7 +78,8 @@ def test_criterion_2a_threshold_certificate(reference_solution):
     per_row = check_single_crossing(policy)
     ok = (sc_ok and per_row.passed and len(tau) == 31
           and check_threshold_monotone(tau).passed
-          and check_delta_monotone(V, REFERENCE, tol=1e-9).passed)
+          and check_delta_monotone(delta_grid(V, REFERENCE), REFERENCE,
+                                   tol=1e-9).passed)
     assert verdict("criterion 2a: single-crossing on all 31 rows, tau "
                    "nondecreasing, delta monotone on the interior", ok,
                    f"tau={[int(t) for t in tau]}")
@@ -94,7 +95,7 @@ def _q_interior_supermodular(V, params):
 def test_criterion_2b_q_submodularity_interior(reference_solution):
     V, _, _, _ = reference_solution
     sup = _q_interior_supermodular(V, REFERENCE)
-    sub = check_q_submodular(V, REFERENCE, tol=1e-9)
+    sub = check_q_submodular(q_grids(V, REFERENCE), tol=1e-9)
     verdict("criterion 2b: both Q grids have increasing differences on the "
             "interior at tol 1e-9, so they are not submodular",
             sup and not sub.passed,
@@ -224,7 +225,7 @@ def test_criterion_7a_robustness_of_threshold_structure():
         tau, sc_ok = extract_thresholds(policy)
         good = (report.converged and sc_ok
                 and check_monotone(V, tol=1e-9).passed
-                and check_delta_monotone(V, p, tol=1e-9).passed
+                and check_delta_monotone(delta_grid(V, p), p, tol=1e-9).passed
                 and check_threshold_monotone(tau).passed)
         if not good:
             bad.append(f"{axis}={value}")
@@ -240,7 +241,7 @@ def test_criterion_7b_robustness_of_full_suite():
         if not (report.converged and check_submodular(-V, tol=1e-9).passed
                 and _q_interior_supermodular(V, p)
                 and not check_submodular(V, tol=1e-9).passed
-                and not check_q_submodular(V, p, tol=1e-9).passed):
+                and not check_q_submodular(q_grids(V, p), tol=1e-9).passed):
             bad.append(f"{axis}={value}")
     ok = verdict("criterion 7b: V* and both Q grids have increasing "
                  "differences, and are not submodular, across the sweep",
