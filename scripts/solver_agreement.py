@@ -20,8 +20,11 @@ from it, unchanged. So the check passes only when:
   same name, outcome and violation count;
 - a differing simulate_report.json differs only in v_star_s0 and abs_gap;
 - every value.csv, and every v_star_s0, is within the base's
-  suboptimality_bound + 1e-10 of the base's (the bound of the base solve
-  with the same model and solver config).
+  suboptimality_bound + 1e-10 of the base's: the bound of the base solve
+  with the model and solver config that the base value.csv's
+  ``# config = `` comment, or the simulate report, records. A value.csv
+  may lie where no solve ran (a leg's copy of a solve); one without that
+  comment, or whose config no base solve has, is a finding.
 
 Prints one line per finding and exits 0 when there is none, 1 otherwise.
 Needs only numpy.
@@ -36,18 +39,23 @@ from pathlib import Path
 import numpy as np
 
 SLACK = 1e-10
+CONFIG_COMMENT = "# config = "
 MAY_DIFFER = {
     "solve_report.json": {"iterations", "final_sweep_delta", "suboptimality_bound"},
     "simulate_report.json": {"v_star_s0", "abs_gap"},
 }
 
 
-def read_value_csv(path: Path) -> np.ndarray:
-    """The grid of a value.csv: comment lines, a header row, then one row
-    per alpha_s whose first cell is its label."""
-    rows = [line.split(",")[1:] for line in path.read_text().splitlines()
+def read_value_csv(path: Path) -> tuple[dict | None, np.ndarray]:
+    """The config a value.csv's ``# config = `` comment records (None when it
+    has none) and its grid: comment lines, a header row, then one row per
+    alpha_s whose first cell is its label."""
+    lines = path.read_text().splitlines()
+    config = next((json.loads(line[len(CONFIG_COMMENT):]) for line in lines
+                   if line.startswith(CONFIG_COMMENT)), None)
+    rows = [line.split(",")[1:] for line in lines
             if line and not line.startswith("#")][1:]
-    return np.array(rows, dtype=float)
+    return config, np.array(rows, dtype=float)
 
 
 def solve_key(config: dict) -> str:
@@ -80,11 +88,15 @@ def compare(base: Path, changed: Path) -> list[str]:
             continue
         name = rel.name
         if name == "value.csv":
-            report = json.loads((old.parent / "solve_report.json").read_text())
-            gap = float(np.max(np.abs(read_value_csv(old) - read_value_csv(new))))
-            if not gap <= report["suboptimality_bound"] + SLACK:
+            config, grid = read_value_csv(old)
+            gap = float(np.max(np.abs(grid - read_value_csv(new)[1])))
+            bound = None if config is None else bounds.get(solve_key(config))
+            if bound is None:
+                findings.append(f"{rel}: no base solve with its config comment "
+                                f"bounds it")
+            elif not gap <= bound + SLACK:
                 findings.append(f"{rel}: moved by {gap:.3e}, more than the base's "
-                                f"bound {report['suboptimality_bound']:.3e}")
+                                f"bound {bound:.3e}")
         elif name == "verify_report.json":
             a, b = json.loads(old.read_text()), json.loads(new.read_text())
             if verdict(a) != verdict(b):

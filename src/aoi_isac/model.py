@@ -89,7 +89,7 @@ class ModelParams:
             raise ValueError(f"a_max must be an integer in [2, {MAX_A_MAX}], "
                              f"got {self.a_max}")
         # an integral 5.0 or np.int64(5) is stored as int: the grid
-        # functions need one (shapes, ranges, a_max.bit_length())
+        # functions need one (shapes, ranges)
         object.__setattr__(self, "a_max", int(self.a_max))
         if not self.value_upper_bound <= MAX_VALUE_BOUND:
             raise ValueError(

@@ -7,9 +7,10 @@ is tested against; tests/reference.py holds the cold-start policy iteration
 and exhaustive enumeration (tiny grids) that cross-check it. Policy
 evaluation is exact at every grid size: ``evaluate_policy`` solves for the
 values of the at most 2 a_max - 1 anchor states that a success can reach,
-while the oracle solves the dense (I - gamma P) v = g. Every loop has a
-bound. All grids are dense float64 arrays indexed [alpha_s, alpha_b],
-policies are int arrays with 0 = sense, 1 = comm.
+then sums every fail chain in one pass backward from the corner
+(a_max, a_max), while the oracle solves the dense (I - gamma P) v = g.
+Every loop has a bound. All grids are dense float64 arrays indexed
+[alpha_s, alpha_b], policies are int arrays with 0 = sense, 1 = comm.
 """
 
 from __future__ import annotations
@@ -202,18 +203,6 @@ def extract_thresholds(policy: np.ndarray) -> tuple[np.ndarray, bool]:
 _CELLS_PER_BLOCK = 1 << 13
 
 
-def _fail_successor(X: np.ndarray, d: int, out: np.ndarray) -> np.ndarray:
-    """out[i, j] = X[min(i + d, a_max), min(j + d, a_max)]: X read at the
-    d-step fail successor (0 < d <= a_max), by four slice copies; the last
-    row and column saturate. Returns out."""
-    k = X.shape[0] - d
-    out[:k, :k] = X[d:, d:]
-    out[:k, k:] = X[d:, -1:]
-    out[k:, :k] = X[-1, d:]
-    out[k:, k:] = X[-1, -1]
-    return out
-
-
 def evaluate_policy(policy: np.ndarray, params: ModelParams) -> np.ndarray:
     """Value grid of a fixed stationary policy, exact at every grid size.
 
@@ -226,10 +215,11 @@ def evaluate_policy(policy: np.ndarray, params: ModelParams) -> np.ndarray:
     the anchor values y; the walk runs in blocks of steps, each one
     (steps, anchors) array, and stops once every chain's weight is zero.
     The grid is then V = g + gamma p y[anchor] + gamma (1 - p) V[fail],
-    summed along the fail chains by pointer doubling: round r reads the
-    2^r-step fail successor as four slice copies. Every sum adds its terms
-    in the order of a walk one step at a time, so the result is that walk's
-    bit for bit.
+    summed along the fail chains in one backward pass: each state adds its
+    q V[fail] once, after its fail successor is final. The saturated last
+    row and column go first, each a loop from the corner; then each row
+    reads the row below, one column on. So V is bit for bit the per-state
+    recursion taken in reverse row-major order.
     """
     policy = np.asarray(policy)
     if policy.shape != params.grid_shape:
@@ -314,12 +304,17 @@ def evaluate_policy(policy: np.ndarray, params: ModelParams) -> np.ndarray:
     V *= gp
     V += g
     del comm, gp, g
-    shifted = np.empty_like(V)
-    rounds = top.bit_length()  # 2^rounds > a_max chain steps
-    for r in range(rounds):
-        V += np.multiply(_fail_successor(V, 1 << r, shifted), q, out=shifted)
-        if r + 1 < rounds:  # the last round's q would go unread
-            q *= _fail_successor(q, 1 << r, shifted)
+    # V += q V[fail], each fail successor final before it is read. The
+    # corner's q is 0; a failure on the last row or column steps along it
+    # towards the corner, a loop over Python floats from there
+    for edge, q_edge in ((V[top], q[top]), (V[:, top], q[:, top])):
+        values, factors = edge.tolist(), q_edge.tolist()
+        for k in reversed(range(top)):
+            values[k] += factors[k] * values[k + 1]
+        edge[:] = values
+    # any other state fails to the row below, one column on
+    for i in reversed(range(top)):
+        V[i, :top] += q[i, :top] * V[i + 1, 1:]
     return V
 
 

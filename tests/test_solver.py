@@ -9,9 +9,9 @@ import pytest
 from aoi_isac import solver
 from aoi_isac.model import (MAX_VALUE_BOUND, Action, ModelParams, delta_grid,
                             dynamics)
-from aoi_isac.solver import (_fail_successor, _improve, bellman_backup,
-                             evaluate_policy, extract_policy,
-                             extract_thresholds, solve, value_iteration)
+from aoi_isac.solver import (_improve, bellman_backup, evaluate_policy,
+                             extract_policy, extract_thresholds, solve,
+                             value_iteration)
 from reference import (_linear_systems, exhaustive_policy_oracle,
                        policy_iteration, q_value)
 
@@ -273,7 +273,8 @@ def step_walk_tables(policy, p):
 
 def evaluate_policy_step_by_step(policy, p):
     """Reference: the anchor evaluation walking every fail chain one step at
-    a time, dropping weights below ``FIXED_CUTOFF``."""
+    a time, dropping weights below ``FIXED_CUTOFF``, then the grid filled
+    state by state."""
     g, gp, q, fail, anchors, slot = step_walk_tables(policy, p)
     rows = np.arange(anchors.size)
     u = np.zeros(anchors.size)
@@ -290,11 +291,13 @@ def evaluate_policy_step_by_step(policy, p):
     y = np.linalg.solve(W, u)
     V = gp * y[slot]
     V += g
-    for _ in range(p.a_max.bit_length()):
-        V += q * V[fail]
-        q *= q[fail]
-        fail = fail[fail]
-    return V.reshape(p.grid_shape)
+    # the per-state definition V(x) += q(x) V(fail(x)), over Python floats:
+    # every fail successor but the corner's (q = 0) lies later in row-major
+    # order, so a reverse pass reads each one final
+    V, q, fail = V.tolist(), q.tolist(), fail.tolist()
+    for x in reversed(range(len(V))):
+        V[x] += q[x] * V[fail[x]]
+    return np.array(V).reshape(p.grid_shape)
 
 
 @pytest.mark.parametrize("lambdas", [(0.0, 0.0), (1.0, 1.0), (0.0, 1.0),
@@ -382,22 +385,6 @@ def test_evaluate_policy_is_the_step_walk_at_every_block_size(monkeypatch, cells
     for policy in (lone_chain, rng.integers(0, 2, p.grid_shape)):
         assert np.array_equal(evaluate_policy(policy, p),
                               evaluate_policy_step_by_step(policy, p))
-
-
-@pytest.mark.parametrize("a_max", [2, 3, 7, 30])
-def test_fail_successor_slices_equal_the_gather_of_dynamics(a_max):
-    p = make(a_max=a_max)
-    ages = np.arange(p.n_ages)
-    _, step, _ = dynamics(ages[:, None], ages[None, :], p)
-    step = np.broadcast_arrays(*step)
-    rng = np.random.default_rng(a_max)
-    X = rng.random(p.grid_shape)
-    at = np.broadcast_arrays(ages[:, None], ages[None, :])
-    for d in range(1, a_max + 1):
-        at = (step[0][at], step[1][at])  # d steps of the one-step fail successor
-        out = np.full(p.grid_shape, np.nan)
-        assert _fail_successor(X, d, out) is out
-        assert np.array_equal(out, X[at])
 
 
 def test_policy_iteration_zero_discount():

@@ -17,10 +17,12 @@ CONFIG = {"model": {"a_max": 2, "gamma": 0.95}, "solver": {"tol": 1e-9},
 BOUND = 1.9e-8
 
 
-def value_csv(shift=0.0):
+def value_csv(shift=0.0, config=CONFIG):
     rows = [f"{i}," + ",".join(repr(10.0 * i + j + shift) for j in range(3))
             for i in range(3)]
-    return "\n".join(["# status = converged", "alpha_s\\alpha_b,0,1,2", *rows]) + "\n"
+    comments = [] if config is None else [f"# config = {json.dumps(config)}"]
+    return "\n".join([*comments, "# status = converged", "alpha_s\\alpha_b,0,1,2",
+                      *rows]) + "\n"
 
 
 def write_tree(root, shift=0.0, iterations=429, v_star=12.0, n_violations=5):
@@ -69,6 +71,28 @@ def test_any_other_differing_file_is_found(tmp_path, name, text):
     (tmp_path / "changed" / name).write_text(text)
     assert solver_agreement.compare(tmp_path / "base", tmp_path / "changed") == [
         f"{name}: differs"]
+
+
+@pytest.mark.parametrize("shift, findings", [
+    (BOUND / 2, []), (2 * BOUND, ["copy/value.csv: moved by 3.800e-08, more than "
+                                  "the base's bound 1.900e-08"])])
+def test_a_value_csv_beside_no_solve_report_is_bounded_by_its_config(
+        tmp_path, shift, findings):
+    # as where a leg copies a solve's value.csv alone into a new directory
+    for side, copy_shift in (("base", 0.0), ("changed", shift)):
+        write_tree(tmp_path / side)
+        (tmp_path / side / "copy").mkdir()
+        (tmp_path / side / "copy" / "value.csv").write_text(value_csv(copy_shift))
+    assert solver_agreement.compare(tmp_path / "base", tmp_path / "changed") == findings
+
+
+@pytest.mark.parametrize("config", [None, {**CONFIG, "model": {"a_max": 2, "gamma": 0.9}}])
+def test_a_value_csv_no_base_solve_bounds_is_found(tmp_path, config):
+    for side, shift in (("base", 0.0), ("changed", BOUND / 2)):
+        write_tree(tmp_path / side, shift=shift)
+        (tmp_path / side / "solve" / "value.csv").write_text(value_csv(shift, config))
+    assert solver_agreement.compare(tmp_path / "base", tmp_path / "changed") == [
+        "solve/value.csv: no base solve with its config comment bounds it"]
 
 
 def test_other_report_fields_and_missing_files_are_found(tmp_path):
