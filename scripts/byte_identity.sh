@@ -57,7 +57,9 @@
 # runs `solve` and `verify` at a_max=300, lambda_s=0.3, lambda_c=0.5 and
 # gamma=0.99: the cut-off derived from the value bound ends sense chains
 # about 130 steps into their 300, where a fixed 1e-200 walks them to the
-# corner.
+# corner. A leg at the slow-contraction config runs `solve` and `verify`
+# at a_max=300 and gamma=0.999, whose policy evaluation takes the
+# bordered anchor solve (border 45, band 109).
 # The top-level `--help` and each command's `--help`, at COLUMNS=80, are
 # captured into help/, so a change to the CLI surface shows as a diff.
 # Each command's exit code is appended to exit_codes.txt in the compared
@@ -228,6 +230,10 @@ run_side() {
               --model.c_c=0.1 --model.gamma=0.99 --model.a_max=300)
         aoi solve "${slow[@]}" --output.directory=edges/early_cutoff
         aoi verify "${slow[@]}" --output.directory=edges/early_cutoff
+        aoi solve "${model[@]}" --model.gamma=0.999 --model.a_max=300 \
+            --output.directory=edges/gamma_0.999-300
+        aoi verify "${model[@]}" --model.gamma=0.999 --model.a_max=300 \
+            --output.directory=edges/gamma_0.999-300
     )
 }
 

@@ -31,11 +31,13 @@ State = tuple[int, int]
 # 4,004,001 states. Peak RSS above the interpreter (ru_maxrss) at this size:
 # value iteration, 5 sweeps, 96.2 MB: V and the stacked pair during the
 # sweeps, then V and extract_policy's two grids in the same room.
-# solver.evaluate_policy 267 MB on the optimal policy (gamma=0.95, 3,226
-# anchors) and 321 MB on a random policy that reaches all 3,999 anchors,
-# most of it its anchor system and LAPACK's copy of it.
-# solver.solve 271 MB (gamma=0.95: 15 sweeps, one evaluation; gamma=0.999:
-# 269 MB, 16 sweeps, one evaluation): the evaluation's peak plus the int8
+# solver.evaluate_policy 176 MB on the optimal policy (gamma=0.95, 3,226
+# anchors; 175 MB at gamma=0.999, 3,199) and 221 MB on a random policy that
+# reaches all 3,999 anchors: its three grid-sized tables (92 MB) and its
+# anchor matrix (79 and 122 MB), of which the bordered anchor solve that
+# all three take makes no copy.
+# solver.solve 181 MB (gamma=0.95: 15 sweeps, one evaluation; gamma=0.999:
+# 179 MB, 16 sweeps, one evaluation): the evaluation's peak plus the int8
 # policy, because the sweep grids are freed before it
 MAX_A_MAX = 2000
 # The largest value_upper_bound accepted. Every discounted cost, and so

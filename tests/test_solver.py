@@ -271,10 +271,11 @@ def step_walk_tables(policy, p):
     return g, gp, q, fail, anchors, slot
 
 
-def evaluate_policy_step_by_step(policy, p):
+def evaluate_policy_step_by_step(policy, p, reach=None):
     """Reference: the anchor evaluation walking every fail chain one step at
     a time, dropping weights below ``FIXED_CUTOFF``, then the grid filled
-    state by state."""
+    state by state. The anchor system is solved by dense LU, or, given
+    ``reach`` = (border, width), by the package's anchor solve."""
     g, gp, q, fail, anchors, slot = step_walk_tables(policy, p)
     rows = np.arange(anchors.size)
     u = np.zeros(anchors.size)
@@ -286,9 +287,12 @@ def evaluate_policy_step_by_step(policy, p):
         weight = weight * q[at]
         weight[weight < FIXED_CUTOFF] = 0.0
         at = fail[at]
-    W *= -1.0
-    W[rows, rows] += 1.0
-    y = np.linalg.solve(W, u)
+    if reach is None:
+        W *= -1.0
+        W[rows, rows] += 1.0
+        y = np.linalg.solve(W, u)
+    else:
+        y = solver._anchor_solve(W, u, *reach)
     V = gp * y[slot]
     V += g
     # the per-state definition V(x) += q(x) V(fail(x)), over Python floats:
@@ -318,17 +322,96 @@ def test_evaluate_policy_is_exact_across_the_parameter_grid(lambdas, gamma, a_ma
         assert np.array_equal(V, evaluate_policy_step_by_step(policy, p))
 
 
-def test_evaluate_policy_equals_the_step_walk_on_a_large_grid():
+def anchor_solves(monkeypatch, policy, p):
+    """``evaluate_policy``'s grid and the (m, border, width) of each anchor
+    system it solves."""
+    seen, anchor_solve = [], solver._anchor_solve
+
+    def spy(W, u, border, width):
+        seen.append((u.size, border, width))
+        return anchor_solve(W, u, border, width)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_anchor_solve", spy)
+        return evaluate_policy(policy, p), seen
+
+
+def test_evaluate_policy_equals_the_step_walk_on_a_large_grid(monkeypatch):
     # all comm, whose anchors are the a_max diagonal states: weights
     # (q = 0.95 * 0.1) fall below the derived cut-off at step 20 of chains up
-    # to 300 steps long, inside a block of steps
+    # to 300 steps long, inside a block of steps. The anchors take the
+    # bordered solve, so the walk hands its matrix to it with the border
+    # and band read at the derived cut-off; its dense LU stays a check
     p = make(a_max=300)
     q = p.gamma * (1.0 - p.lambda_c)
     crossing = int(np.ceil(np.log(derived_cutoff(p)) / np.log(q)))
     assert 0 < crossing % (solver._CELLS_PER_BLOCK // p.a_max) and crossing < p.a_max
     for policy in (np.full(p.grid_shape, Action.COMM), solve(p)[1]):
-        assert np.array_equal(evaluate_policy(policy, p),
-                              evaluate_policy_step_by_step(policy, p))
+        V, [(_, *reach)] = anchor_solves(monkeypatch, policy, p)
+        assert np.array_equal(V, evaluate_policy_step_by_step(policy, p, reach))
+        assert max_rel_gap(V, evaluate_policy_step_by_step(policy, p)) <= 1e-12
+
+
+@pytest.mark.parametrize("a_max, gamma", [(300, 0.95), (300, 0.999), (1000, 0.95)])
+def test_bordered_solve_is_the_step_walk_on_seeded_policies(monkeypatch, a_max, gamma):
+    # the last policy is the optimal one with the corner sensing: the
+    # corner's success then lands on the anchor before it, below the
+    # diagonal, inside the last block of the band
+    p = make(a_max=a_max, gamma=gamma)
+    rng = np.random.default_rng(a_max)
+    optimal = solve(p)[1]
+    corner_senses = optimal.copy()
+    corner_senses[-1, -1] = Action.SENSE
+    for policy in (np.full(p.grid_shape, Action.SENSE), np.full(p.grid_shape, Action.COMM),
+                   rng.integers(0, 2, p.grid_shape), optimal, corner_senses):
+        V, [(m, *reach)] = anchor_solves(monkeypatch, policy, p)
+        assert m >= max(solver._BORDERED_MIN_ANCHORS,
+                        solver._BORDERED_MIN_RATIO * sum(reach))
+        assert np.array_equal(V, evaluate_policy_step_by_step(policy, p, reach))
+        assert max_rel_gap(V, evaluate_policy_step_by_step(policy, p)) <= 1e-12
+
+
+def test_the_anchor_solve_is_bordered_on_the_large_grid_and_dense_at_the_reference(
+        monkeypatch):
+    shapes, linalg_solve = [], np.linalg.solve
+
+    def spy(a, b):
+        shapes.append(a.shape)
+        return linalg_solve(a, b)
+
+    p, reference = make(a_max=300), make()
+    policy, reference_policy = solve(p)[1], solve(reference)[1]
+    with monkeypatch.context() as patch:
+        patch.setattr(np.linalg, "solve", spy)
+        evaluate_policy(policy, p)
+        large, shapes[:] = shapes[:], []
+        evaluate_policy(reference_policy, reference)
+    _, [(m, border, width)] = anchor_solves(monkeypatch, policy, p)
+    assert (m, border, width) == (483, 41, 95)
+    # blocks of the band, then the border's Schur system
+    assert large == [(32, 32)] * 13 + [(26, 26), (border, border)]
+    assert shapes == [(47, 47)]
+
+
+@pytest.mark.parametrize("lambdas", [(0.6, 0.9), (1.0, 1.0), (0.0, 1.0), (0.05, 0.02)])
+@pytest.mark.parametrize("gamma", [0.5, 0.95, 0.999])
+def test_each_anchor_row_of_w_sums_to_at_most_gamma(monkeypatch, lambdas, gamma):
+    # the premise of the bordered solve's stability: I - W is strictly
+    # diagonally dominant by rows
+    p = make(a_max=200, lambda_s=lambdas[0], lambda_c=lambdas[1], gamma=gamma)
+    row_sums, anchor_solve = [], solver._anchor_solve
+
+    def spy(W, u, border, width):
+        row_sums.append(W.sum(axis=1).max())
+        return anchor_solve(W, u, border, width)
+
+    rng = np.random.default_rng(200)
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_anchor_solve", spy)
+        for policy in (np.full(p.grid_shape, Action.SENSE), np.full(p.grid_shape, Action.COMM),
+                       rng.integers(0, 2, p.grid_shape), solve(p)[1]):
+            evaluate_policy(policy, p)
+    assert 0.0 < max(row_sums) <= gamma
 
 
 def chains_cut_short_of_the_corner(policy, p):
