@@ -58,8 +58,18 @@
 # gamma=0.99: the cut-off derived from the value bound ends sense chains
 # about 130 steps into their 300, where a fixed 1e-200 walks them to the
 # corner. A leg at the slow-contraction config runs `solve` and `verify`
-# at a_max=300 and gamma=0.999, whose policy evaluation takes the
-# bordered anchor solve (border 45, band 109).
+# at a_max=300 and gamma=0.999.
+# The policy evaluation's anchor solve of m anchors, border k and band w
+# keeps its border and band where many anchors have a narrow band (see
+# solver._BORDERED_MIN_ANCHORS); elsewhere every column is border and
+# the solve is the dense LU. Every a_max=30 leg is all border: m=47 at the
+# reference parameters, m=30 and m=58 at the link edges, m=30 at the huge
+# costs. So is a_max=2 (m=2), and so is the early cut-off leg, at m=487
+# (k=137, w=261). The gamma=0 and gamma=1e-6 legs converge before any
+# evaluation.
+# The band is kept at large_grid (m, k, w) = (483, 41, 95), its horizon-50
+# `simulate` legs included, at a_max=1000 (1612, 43, 97) and at a_max=300,
+# gamma=0.999 (479, 45, 109).
 # The top-level `--help` and each command's `--help`, at COLUMNS=80, are
 # captured into help/, so a change to the CLI surface shows as a diff.
 # Each command's exit code is appended to exit_codes.txt in the compared

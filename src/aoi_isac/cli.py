@@ -20,7 +20,7 @@ from pathlib import Path
 
 from . import gridio, sim, solver, structure
 from .config import FIELDS, RunConfig, SolverConfig, build_config, load_config_file
-from .model import ModelParams
+from .model import ModelParams, check_policy_grid
 
 EXIT_OK = 0
 EXIT_BAD_CONFIG = 2
@@ -199,7 +199,7 @@ def _resolve_policy(cfg: RunConfig, source: str, policy_file: str | None):
     is checked here, before the output directory is made."""
     if policy_file is not None:
         policy, _ = gridio.read_policy_csv(policy_file)
-        sim.check_policy_grid(policy, cfg.model)
+        check_policy_grid(policy, cfg.model)
         return policy, f"file:{policy_file}", None
     if source == "optimal":
         V, policy, report = _solve(cfg.model, cfg.solver)

@@ -128,6 +128,19 @@ class ModelParams:
         return self.max_stage_cost / (1.0 - self.gamma)
 
 
+def check_policy_grid(policy: np.ndarray, params: ModelParams) -> None:
+    """Raise ValueError unless the policy grid has the model's grid shape
+    and every cell is an action: 0 (sense) or 1 (comm)."""
+    if policy.shape != params.grid_shape:
+        raise ValueError(f"policy grid shape {policy.shape} does not match "
+                         f"model.a_max={params.a_max} {params.grid_shape}")
+    bad = (policy != Action.SENSE) & (policy != Action.COMM)
+    if bad.any():
+        alpha_s, alpha_b = map(int, np.unravel_index(bad.argmax(), bad.shape))
+        raise ValueError(f"policy cell (alpha_s, alpha_b) = ({alpha_s}, {alpha_b}) "
+                         f"is {policy[alpha_s, alpha_b]}, not 0 (sense) or 1 (comm)")
+
+
 def dynamics(alpha_s, alpha_b, params: ModelParams):
     """The transition table and the stage cost, vectorised.
 

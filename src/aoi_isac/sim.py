@@ -61,7 +61,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Action, ModelParams, State, dynamics
+from .model import Action, ModelParams, State, check_policy_grid, dynamics
 
 _OUTCOME_STREAM, _ACTION_STREAM = 0, 1
 # trajectories run together; bounds the working memory whatever n is, at
@@ -294,13 +294,6 @@ def _tables(params: ModelParams, carry: np.ndarray):
             interleave(float, cost[Action.SENSE], cost[Action.COMM]),
             interleave(np.uint64, _success_threshold(params.lambda_s),
                        _success_threshold(params.lambda_c)))
-
-
-def check_policy_grid(policy: np.ndarray, params: ModelParams) -> None:
-    """Raise ValueError unless the policy grid has the model's grid shape."""
-    if policy.shape != params.grid_shape:
-        raise ValueError(f"policy grid shape {policy.shape} does not match "
-                         f"model.a_max={params.a_max} {params.grid_shape}")
 
 
 def _lockstep(policy, params: ModelParams, s0: State, horizon: int,

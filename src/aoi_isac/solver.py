@@ -10,8 +10,8 @@ values of the at most 2 a_max - 1 anchor states that a success can reach,
 then sums every fail chain in one pass backward from the corner
 (a_max, a_max), while the oracle solves the dense (I - gamma P) v = g. The
 anchor system is upper triangular with a narrow band but for a thin left
-border: on large grids it is solved by back-substitution on the band and a
-small Schur system on the border, on small ones by dense LU.
+border, and one solve takes it: back-substitution on the band and a Schur
+system on the border, which on small grids is every column, a dense LU.
 Every loop has a bound. All grids are dense float64 arrays indexed
 [alpha_s, alpha_b], policies are int arrays with 0 = sense, 1 = comm.
 """
@@ -24,7 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import Action, ModelParams, _backup_tables, delta_grid, q_grids
+from .model import (Action, ModelParams, _backup_tables, check_policy_grid,
+                    delta_grid, q_grids)
 
 
 @dataclass
@@ -205,9 +206,10 @@ def extract_thresholds(policy: np.ndarray) -> tuple[np.ndarray, bool]:
 # its working memory (about 100 bytes a cell) whatever a_max is
 _CELLS_PER_BLOCK = 1 << 13
 
-# The anchor system of m anchors, border k and band w takes the bordered
-# solve when m >= _BORDERED_MIN_ANCHORS and m >= _BORDERED_MIN_RATIO (k + w),
-# else the dense LU. Measured on optimal and random policies at a_max 30 to
+# The anchor system of m anchors, border k and band w is solved with that
+# border and band when m >= _BORDERED_MIN_ANCHORS and
+# m >= _BORDERED_MIN_RATIO (k + w), else with every column as border, which
+# is the dense LU. Measured on optimal and random policies at a_max 30 to
 # 300: the dense LU won every system below 160 anchors, and the bordered
 # solve every larger one with m >= 1.5 (k + w); in between, either won
 _BORDERED_MIN_ANCHORS = 160
@@ -232,18 +234,19 @@ def _reach(cols: np.ndarray, rows: np.ndarray, terms: np.ndarray, m: int
 
 
 def _anchor_solve(W: np.ndarray, u: np.ndarray, k: int, w: int) -> np.ndarray:
-    """y with (I - W) y = u, for the anchors' fail-chain matrix W.
+    """y with (I - W) y = u, for the anchors' fail-chain matrix W; W is
+    overwritten with W - I.
 
     Every entry of W below the diagonal lies in its first k columns, the
     border, or in its row's block of the band (``_reach``), and none lies
-    more than w columns right of the diagonal. W is overwritten on the
-    dense path.
+    more than w columns right of the diagonal. Below the crossover every
+    column is border: the band is empty and the Schur system is the whole
+    of I - W, solved by dense LU.
     """
     m = u.size
     if m < max(_BORDERED_MIN_ANCHORS, _BORDERED_MIN_RATIO * (k + w)):
-        W *= -1.0  # I - W in place: the solve's own copy is the only other matrix
-        W.reshape(-1)[::m + 1] += 1.0
-        return np.linalg.solve(W, u)
+        k, w = m, 0
+    W.reshape(-1)[::m + 1] -= 1.0
     # Order y as the border unknowns y_B = y[:k], then the rest y_R. Below
     # the first k rows, I - W is block upper triangular, in blocks of
     # _BAND_BLOCK rows counted from the last and with band w, beside the
@@ -265,30 +268,31 @@ def _anchor_solve(W: np.ndarray, u: np.ndarray, k: int, w: int) -> np.ndarray:
     # (Wilkinson). A diagonal block is upper triangular, but for the
     # corner's one entry; on a triangular block LAPACK's partially pivoted
     # LU exchanges no row and updates nothing, so its solve is
-    # back-substitution.
-    Z = np.empty((m - k, k + 1))
-    Z[:, 0] = u[k:]
-    Z[:, 1:] = W[k:, :k]
+    # back-substitution. Each block is solved as a block of W - I, that is
+    # -(I - W), with negated right-hand sides: negation changes no pivot
+    # and commutes with rounding, so every answer is bit for bit that of
+    # I - W, and no block is copied.
+    Z = np.concatenate((u[k:, None], W[k:, :k]), axis=1)
+    np.negative(Z, out=Z)  # in place: a strided out would take ufunc buffers
     for hi in range(m, k, -_BAND_BLOCK):
         lo, end = max(k, hi - _BAND_BLOCK), min(hi + w, m)
         rows = Z[lo - k:hi - k]
-        rows += W[lo:hi, hi:end] @ Z[hi - k:end - k]
-        T = np.negative(W[lo:hi, lo:hi])
-        T.reshape(-1)[::hi - lo + 1] += 1.0
-        rows[...] = np.linalg.solve(T, rows)
+        rows -= W[lo:hi, hi:end] @ Z[hi - k:end - k]
+        rows[...] = np.linalg.solve(W[lo:hi, lo:hi], rows)
     end = min(k + w, m)
     W_BR, Z_top = W[:k, k:end], Z[:end - k]
-    S = np.negative(W[:k, :k])
-    S.reshape(-1)[::k + 1] += 1.0
-    S -= W_BR @ Z_top[:, 1:]
+    S = W[:k, :k]
+    if k < m:  # else W_BR is empty, and its product would be m x m zeros
+        S += W_BR @ Z_top[:, 1:]
     y = np.empty(m)
-    y[:k] = np.linalg.solve(S, u[:k] + W_BR @ Z_top[:, 0])
+    y[:k] = np.linalg.solve(S, -u[:k] - W_BR @ Z_top[:, 0])
     y[k:] = Z[:, 0] + Z[:, 1:] @ y[:k]
     return y
 
 
 def evaluate_policy(policy: np.ndarray, params: ModelParams) -> np.ndarray:
     """Value grid of a fixed stationary policy, exact at every grid size.
+    A policy that ``model.check_policy_grid`` turns down raises ValueError.
 
     Success successors, the anchors, lie on the column (k, 1) and the
     diagonal (k, k): at most 2 a_max - 1 states, found from the per-age
@@ -301,11 +305,11 @@ def evaluate_policy(policy: np.ndarray, params: ModelParams) -> np.ndarray:
     Ordered by flat index, the anchors make I - W upper triangular but for
     its first k columns, the border, with every entry at most w columns
     right of the diagonal; the walk reads k and w from the terms it adds.
-    Where the anchors are many and k + w narrow beside them,
     ``_anchor_solve`` back-substitutes the band in blocks of rows, carrying
     the border columns, and solves a k x k Schur system for the border
-    values; elsewhere, the reference instance at a_max = 30 among them, it
-    is dense LU.
+    values. Where the anchors are few or k + w wide beside them, the
+    reference instance at a_max = 30 among them, every column is border and
+    that Schur system is the dense LU of I - W.
     The grid is then V = g + gamma p y[anchor] + gamma (1 - p) V[fail],
     summed along the fail chains in one backward pass: each state adds its
     q V[fail] once, after its fail successor is final. The saturated last
@@ -314,8 +318,7 @@ def evaluate_policy(policy: np.ndarray, params: ModelParams) -> np.ndarray:
     recursion taken in reverse row-major order.
     """
     policy = np.asarray(policy)
-    if policy.shape != params.grid_shape:
-        raise ValueError(f"policy shape {policy.shape} != {params.grid_shape}")
+    check_policy_grid(policy, params)
     n, top = params.n_ages, params.a_max
     succ, success_prob, _, cost = _backup_tables(params)
     comm = policy == Action.COMM
@@ -382,7 +385,7 @@ def evaluate_policy(policy: np.ndarray, params: ModelParams) -> np.ndarray:
         terms = gp.take(at)
         terms *= weights
         cols = np.where(comm.take(at), slot[1][age_b], slot[0][age_s])
-        if m >= _BORDERED_MIN_ANCHORS:  # else the solve is dense whatever they are
+        if m >= _BORDERED_MIN_ANCHORS:  # else every column is border whatever they are
             block_border, block_width = _reach(cols, live, terms, m)
             border, width = max(border, block_border), max(width, block_width)
         cols += row_start[live]

@@ -439,7 +439,8 @@ def test_simulate_policy_file_wrong_shape(tmp_path, capsys):
     gridio.write_grid_csv(path, np.zeros((3, 3), dtype=int))
     rc = run(tmp_path, "simulate", "--policy-file", str(path), *small_flags(a_max=8))
     assert rc == 2
-    assert "a_max" in capsys.readouterr().err
+    assert capsys.readouterr().err == ("error: policy grid shape (3, 3) does not "
+                                       "match model.a_max=8 (9, 9)\n")
     assert not (tmp_path / "out").exists()
 
 

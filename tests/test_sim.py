@@ -343,6 +343,19 @@ def test_policy_grid_of_the_wrong_shape_is_rejected():
             rollout(grid, p, (1, 1), horizon=5, seed=0)
 
 
+def test_policy_grid_with_a_cell_that_is_not_an_action_is_rejected():
+    # a grid of 2s once simulated as all-sense
+    p = make(a_max=5)
+    one_bad_cell = np.zeros(p.grid_shape, dtype=np.int8)
+    one_bad_cell[2, 4], one_bad_cell[3, 0] = -1, 7
+    for grid, cell in ((np.full(p.grid_shape, 2), r"\(0, 0\) is 2,"),
+                       (one_bad_cell, r"\(2, 4\) is -1,")):
+        with pytest.raises(ValueError, match=r"cell \(alpha_s, alpha_b\) = " + cell):
+            estimate_value(grid, p, (1, 1), n=10, horizon=5, seed=0)
+        with pytest.raises(ValueError, match=cell):
+            rollout(grid, p, (1, 1), horizon=5, seed=0)
+
+
 class HasP:
     """Not a policy, though it has a comm probability attribute."""
     p = 0.5

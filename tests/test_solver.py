@@ -2,6 +2,7 @@
 
 import cProfile
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -228,8 +229,22 @@ def test_evaluate_policy_matches_dense_solve():
 
 
 def test_evaluate_policy_rejects_a_policy_of_the_wrong_shape():
-    with pytest.raises(ValueError, match=r"policy shape \(5, 5\) != \(6, 6\)"):
+    with pytest.raises(ValueError, match=r"policy grid shape \(5, 5\) does not "
+                                         r"match model.a_max=5 \(6, 6\)"):
         evaluate_policy(np.zeros((5, 5), dtype=int), make(a_max=5))
+
+
+@pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+def test_evaluate_policy_rejects_a_cell_that_is_not_an_action(bad):
+    # a grid of 2s once evaluated as all-sense, while extract_thresholds
+    # read it as all-comm
+    p = make()
+    with pytest.raises(ValueError, match=r"cell \(alpha_s, alpha_b\) = \(0, 0\) is "):
+        evaluate_policy(np.full(p.grid_shape, bad), p)
+    policy = solve(p)[1].astype(float)
+    policy[7, 3] = policy[9, 1] = bad
+    with pytest.raises(ValueError, match=rf"\(7, 3\) is {float(bad)}, not 0 \(sense\) or 1"):
+        evaluate_policy(policy, p)
 
 
 # The step walk drops fail-chain weights below this fixed cut-off. It lies
@@ -391,6 +406,94 @@ def test_the_anchor_solve_is_bordered_on_the_large_grid_and_dense_at_the_referen
     # blocks of the band, then the border's Schur system
     assert large == [(32, 32)] * 13 + [(26, 26), (border, border)]
     assert shapes == [(47, 47)]
+
+
+def anchor_systems(monkeypatch, policies, p):
+    """(W, u, border, width) of each anchor system that ``evaluate_policy``
+    hands to the anchor solve, for each policy; W as the walk left it."""
+    systems, anchor_solve = [], solver._anchor_solve
+
+    def spy(W, u, border, width):
+        systems.append((W.copy(), u, border, width))
+        return anchor_solve(W, u, border, width)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_anchor_solve", spy)
+        for policy in policies:
+            evaluate_policy(policy, p)
+    return systems
+
+
+# the instance where the derived cut-off ends fail chains earliest
+# (scripts/byte_identity.sh): its 487 anchors have border 137 and band 261,
+# too wide to keep, so every column is border
+EARLY_CUTOFF = dict(a_max=300, lambda_s=0.3, lambda_c=0.5, gamma=0.99)
+
+
+@pytest.mark.parametrize("lambdas", [(0.6, 0.9), (0.3, 0.5), (0.05, 0.02)])
+@pytest.mark.parametrize("gamma", [0.5, 0.95, 0.999])
+def test_the_all_border_anchor_solve_is_the_dense_lu(monkeypatch, lambdas, gamma):
+    # with every column as border, the anchor solve is np.linalg.solve of
+    # I - W bit for bit, though it solves W - I with -u
+    systems = []
+    for a_max in (2, 7, 30, 80):
+        p = make(a_max=a_max, lambda_s=lambdas[0], lambda_c=lambdas[1], gamma=gamma)
+        policies = (solve(p)[1], np.random.default_rng(a_max).integers(0, 2, p.grid_shape))
+        systems += anchor_systems(monkeypatch, policies, p)
+    if lambdas == (0.3, 0.5) and gamma == 0.95:
+        p = make(**EARLY_CUTOFF)
+        early = anchor_systems(monkeypatch, [solve(p)[1]], p)
+        assert [(u.size, k, w) for _, u, k, w in early] == [(487, 137, 261)]
+        systems += early
+    for W, u, border, width in systems:
+        m = u.size
+        assert m < max(solver._BORDERED_MIN_ANCHORS,
+                       solver._BORDERED_MIN_RATIO * (border + width))
+        dense = np.linalg.solve(np.eye(m) - W, u)
+        assert np.array_equal(solver._anchor_solve(W.copy(), u, m, 0), dense)
+        assert np.array_equal(solver._anchor_solve(W, u, border, width), dense)
+
+
+@pytest.mark.parametrize("params, policy, shape", [
+    (make(), "optimal", (47, 0, 0)),
+    (make(**EARLY_CUTOFF), "optimal", (487, 137, 261)),
+    (make(a_max=300), "optimal", (483, 41, 95)),
+    (make(a_max=1000, lambda_s=0.01, lambda_c=0.01, gamma=0.999), "random",
+     (1999, 1963, 1997)),
+], ids=["reference", "early_cutoff", "large_grid", "all_border_1999"])
+def test_the_anchor_solve_copies_no_block(monkeypatch, params, policy, shape):
+    # every matrix LAPACK is handed is a view of W, and beside W the solve
+    # holds little: a copy of W, or the m x m zeros of an empty border
+    # product, would show in the traced peak (LAPACK's own copy is made
+    # outside tracemalloc)
+    if policy == "optimal":
+        policy = solve(params)[1]
+    else:
+        policy = np.random.default_rng(3).integers(0, 2, params.grid_shape)
+    handed, runs = [], []
+    anchor_solve, linalg_solve = solver._anchor_solve, np.linalg.solve
+
+    def spy(W, u, border, width):
+        tracemalloc.start()
+        try:
+            y = anchor_solve(W, u, border, width)
+            runs.append((W, (u.size, border, width), tracemalloc.get_traced_memory()[1]))
+        finally:
+            tracemalloc.stop()
+        return y
+
+    def solve_spy(a, b):
+        handed.append(a)
+        return linalg_solve(a, b)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(solver, "_anchor_solve", spy)
+        patch.setattr(np.linalg, "solve", solve_spy)
+        evaluate_policy(policy, params)
+    [(W, seen, peak)] = runs
+    assert seen == shape
+    assert handed and all(np.shares_memory(a, W) for a in handed)
+    assert peak < W.nbytes / 4
 
 
 @pytest.mark.parametrize("lambdas", [(0.6, 0.9), (1.0, 1.0), (0.0, 1.0), (0.05, 0.02)])
