@@ -344,7 +344,7 @@ def test_policy_grid_of_the_wrong_shape_is_rejected():
 
 
 def test_policy_grid_with_a_cell_that_is_not_an_action_is_rejected():
-    # a grid of 2s once simulated as all-sense
+    # a grid of 2s was simulated as all-sense
     p = make(a_max=5)
     one_bad_cell = np.zeros(p.grid_shape, dtype=np.int8)
     one_bad_cell[2, 4], one_bad_cell[3, 0] = -1, 7

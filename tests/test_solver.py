@@ -236,8 +236,8 @@ def test_evaluate_policy_rejects_a_policy_of_the_wrong_shape():
 
 @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
 def test_evaluate_policy_rejects_a_cell_that_is_not_an_action(bad):
-    # a grid of 2s once evaluated as all-sense, while extract_thresholds
-    # read it as all-comm
+    # a grid of 2s was evaluated as all-sense, though extract_thresholds
+    # reads it as all-comm
     p = make()
     with pytest.raises(ValueError, match=r"cell \(alpha_s, alpha_b\) = \(0, 0\) is "):
         evaluate_policy(np.full(p.grid_shape, bad), p)
