@@ -6,12 +6,13 @@
 # BASE_DIR and CHANGED_DIR are checkouts of the repository (for example the
 # parent commit, unpacked with `git archive`, and the working tree). Each
 # side runs the same command lines with its own src/ on PYTHONPATH, in
-# WORK_DIR/base and WORK_DIR/changed, and the two directories are compared
-# with `diff -r`. The command lines are those of perfbench's `reference`
-# and `large_grid` workloads: `verify` with nothing to read (it solves in
-# process), `solve`, `verify` of the solve artifacts, `simulate` with seeds
-# 1 and 7 under every named policy and under the solved policy.csv,
-# `simulate` with a seed of more than 64 bits, and `sweep` of c_c. Legs at
+# WORK_DIR/base and WORK_DIR/changed, and the two directories are handed to
+# scripts/solver_agreement.py. The command lines are those of perfbench's
+# `reference` and `large_grid` workloads: `verify` with nothing to read
+# (it solves in process), `solve`, `verify` of the solve artifacts,
+# `simulate` with seeds 1 and 7 under every named policy and under the
+# solved policy.csv, `simulate` with a seed of more than 64 bits, and
+# `sweep` of c_c. Legs at
 # the solver's edges follow: `solve` and `verify` at the smallest grid
 # (a_max=2), `solve` and `verify` at the large grid a_max=1000 (a
 # 1,002,001-cell value.csv and PGM, which the real-grid writer takes in
@@ -71,10 +72,12 @@
 # `simulate` legs included, at a_max=1000 (1612, 43, 97) and at a_max=300,
 # gamma=0.999 (479, 45, 109).
 # The top-level `--help` and each command's `--help`, at COLUMNS=80, are
-# captured into help/, so a change to the CLI surface shows as a diff.
+# captured into help/, so a change to the CLI surface is a finding.
 # Each command's exit code is appended to exit_codes.txt in the compared
-# tree. Exits 0 when every artifact and exit code is identical, 1 when one
-# differs.
+# tree. Exits as solver_agreement.py does: 0 when every artifact and exit
+# code is identical ("identical: N artifacts") or differs only as an
+# algorithm swap may ("agree: N artifacts, M differ"), else 1, with one
+# line per finding.
 set -euo pipefail
 
 if [ $# -ne 3 ]; then
@@ -249,8 +252,4 @@ run_side() {
 
 run_side "$base" "$work/base"
 run_side "$changed" "$work/changed"
-if diff -r "$work/base" "$work/changed"; then
-    echo "identical: $(find "$work/changed" -type f | wc -l) artifacts"
-else
-    exit 1
-fi
+exec python3 "$(dirname "$0")/solver_agreement.py" "$work/base" "$work/changed"

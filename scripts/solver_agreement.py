@@ -1,17 +1,18 @@
 #!/usr/bin/env python3
-"""Check that two artifact trees agree as an algorithm swap must.
+"""Check that two artifact trees are identical, or agree as an algorithm
+swap must.
 
     python3 scripts/solver_agreement.py BASE_WORK CHANGED_WORK
 
 BASE_WORK and CHANGED_WORK are the two trees that
-``scripts/byte_identity.sh`` leaves (WORK_DIR/base and WORK_DIR/changed).
-A change of solver algorithm may move the value grid within the reported
-suboptimality bound, but must leave the policy, and everything computed
-from it, unchanged. So the check passes only when:
+``scripts/byte_identity.sh`` writes (WORK_DIR/base and WORK_DIR/changed)
+and hands to this script. A change of solver algorithm may move the value
+grid within the reported suboptimality bound, but must leave the policy,
+and everything computed from it, unchanged. So the check passes only when:
 
-- the only files that differ are value.csv, solve_report.json,
-  verify_report.json and simulate_report.json, and the two trees hold the
-  same files (policy.csv, thresholds.csv, decision_map.txt,
+- the two trees hold the same files and directories, and the only files
+  that differ are value.csv, solve_report.json, verify_report.json and
+  simulate_report.json (policy.csv, thresholds.csv, decision_map.txt,
   value_surface.pgm, trajectory.csv, every sweep file and exit_codes.txt
   are byte-identical);
 - a differing solve_report.json differs only in iterations,
@@ -26,8 +27,11 @@ from it, unchanged. So the check passes only when:
   may lie where no solve ran (a leg's copy of a solve); one without that
   comment, or whose config no base solve has, is a finding.
 
-Prints one line per finding and exits 0 when there is none, 1 otherwise.
-Needs only numpy.
+Prints one line per finding and exits 1 when there is one. Else it exits
+0 and prints "identical: N artifacts" when no file differs, or "agree: N
+artifacts, M differ". A file or an empty directory on one side only is a
+finding, so, as with ``diff -r``, no directory on one side only goes
+unnamed. Needs only numpy.
 """
 
 from __future__ import annotations
@@ -71,21 +75,38 @@ def verdict(report: dict) -> list:
                                      for c in report["checks"]]
 
 
-def compare(base: Path, changed: Path) -> list[str]:
-    files = {p.relative_to(base) for p in base.rglob("*") if p.is_file()}
-    other = {p.relative_to(changed) for p in changed.rglob("*") if p.is_file()}
-    findings = ([f"{rel}: only in {base}" for rel in sorted(files - other)]
-                + [f"{rel}: only in {changed}" for rel in sorted(other - files)])
-    bounds = {}
-    for rel in files:
-        if rel.name == "solve_report.json":
-            report = json.loads((base / rel).read_text())
-            bounds[solve_key(report["config"])] = report["suboptimality_bound"]
+def entries(root: Path) -> dict[Path, bool]:
+    """Every path under root, relative to it, mapped to whether it is a file."""
+    return {p.relative_to(root): p.is_file() for p in root.rglob("*")}
 
-    for rel in sorted(files & other):
+
+def tree_diff(base: Path, changed: Path) -> tuple[list[str], list[Path]]:
+    """The findings for what lies on one side only, or is a file on one
+    side and a directory on the other; and the files that differ."""
+    a, b = entries(base), entries(changed)
+    findings = []
+    for root, here, there in ((base, a, b), (changed, b, a)):
+        # a directory that holds anything is named by what it holds
+        only = here.keys() - there.keys() - {rel.parent for rel in here}
+        findings += [f"{rel}: only in {root}" for rel in sorted(only)]
+    common = sorted(a.keys() & b.keys())
+    findings += [f"{rel}: differs" for rel in common if a[rel] != b[rel]]
+    differing = [rel for rel in common if a[rel] and b[rel]
+                 and (base / rel).read_bytes() != (changed / rel).read_bytes()]
+    return findings, differing
+
+
+def judge(base: Path, changed: Path, differing: list[Path]) -> list[str]:
+    """The findings for files that differ, each by what an algorithm swap
+    may change in it."""
+    findings = []
+    bounds = {}
+    for report_path in base.rglob("solve_report.json"):
+        report = json.loads(report_path.read_text())
+        bounds[solve_key(report["config"])] = report["suboptimality_bound"]
+
+    for rel in differing:
         old, new = base / rel, changed / rel
-        if old.read_bytes() == new.read_bytes():
-            continue
         name = rel.name
         if name == "value.csv":
             config, grid = read_value_csv(old)
@@ -123,17 +144,26 @@ def compare(base: Path, changed: Path) -> list[str]:
     return findings
 
 
+def compare(base: Path, changed: Path) -> list[str]:
+    """Every finding, as ``main`` prints them."""
+    findings, differing = tree_diff(base, changed)
+    return findings + judge(base, changed, differing)
+
+
 def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.split("\n\n")[1], file=sys.stderr)
         return 2
     base, changed = (Path(a) for a in argv)
-    findings = compare(base, changed)
+    findings, differing = tree_diff(base, changed)
+    findings += judge(base, changed, differing)
     for line in findings:
         print(line)
     if findings:
         return 1
-    print(f"agree: {sum(1 for p in changed.rglob('*') if p.is_file())} artifacts")
+    n = sum(entries(changed).values())
+    print(f"agree: {n} artifacts, {len(differing)} differ" if differing
+          else f"identical: {n} artifacts")
     return 0
 
 

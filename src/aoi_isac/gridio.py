@@ -543,10 +543,8 @@ def value_pgm_text(grid: np.ndarray) -> str:
     if not math.isfinite(hi - lo):
         raise ValueError(f"value surface has no gray levels: min {lo!r}, "
                          f"max {hi!r}")
-    if hi > lo:
-        levels = np.rint((grid - lo) / (hi - lo) * 255).astype(int)
-    else:
-        levels = np.zeros(grid.shape, dtype=int)
+    # a constant grid has range 0 and every level 0
+    levels = np.rint((grid - lo) / ((hi - lo) or 1.0) * 255).astype(int)
     text = _LEVEL_TEXT.take(levels).view(np.uint8)
     text.reshape(*grid.shape, 4)[:, -1, -1] = ord("\n")
     return (f"P2\n{grid.shape[1]} {grid.shape[0]}\n255\n"

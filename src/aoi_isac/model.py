@@ -15,6 +15,11 @@ saturating at a_max:
 
 The stage cost is alpha_s plus the activation cost of the chosen action,
 and the objective is the expected discounted sum of stage costs.
+
+A policy grid holds one action per state, 0 (sense) or 1 (comm), in any
+dtype. ``comm_mask`` is the one rule that reads it: policy evaluation, the
+simulator and the structure checks all take their comm cells from it, so
+every reader of a policy grid rejects a cell that is not an action.
 """
 
 from __future__ import annotations
@@ -128,17 +133,29 @@ class ModelParams:
         return self.max_stage_cost / (1.0 - self.gamma)
 
 
-def check_policy_grid(policy: np.ndarray, params: ModelParams) -> None:
-    """Raise ValueError unless the policy grid has the model's grid shape
-    and every cell is an action: 0 (sense) or 1 (comm)."""
-    if policy.shape != params.grid_shape:
-        raise ValueError(f"policy grid shape {policy.shape} does not match "
-                         f"model.a_max={params.a_max} {params.grid_shape}")
-    bad = (policy != Action.SENSE) & (policy != Action.COMM)
+def comm_mask(policy) -> np.ndarray:
+    """The comm cells of a policy grid, as a bool grid: True where it plays 1
+    (comm), False where it plays 0 (sense), whatever its dtype. Every reader
+    of a policy grid takes its actions from here, so each rejects a cell
+    that is not an action: ValueError naming the first such cell
+    (alpha_s, alpha_b) and its value."""
+    policy = np.asarray(policy)
+    comm = policy == Action.COMM
+    bad = (policy != Action.SENSE) != comm  # neither sense nor comm
     if bad.any():
         alpha_s, alpha_b = map(int, np.unravel_index(bad.argmax(), bad.shape))
         raise ValueError(f"policy cell (alpha_s, alpha_b) = ({alpha_s}, {alpha_b}) "
                          f"is {policy[alpha_s, alpha_b]}, not 0 (sense) or 1 (comm)")
+    return comm
+
+
+def check_policy_grid(policy, params: ModelParams) -> np.ndarray:
+    """``comm_mask`` of a policy grid, which must have the model's grid
+    shape, else ValueError."""
+    if np.shape(policy) != params.grid_shape:
+        raise ValueError(f"policy grid shape {np.shape(policy)} does not match "
+                         f"model.a_max={params.a_max} {params.grid_shape}")
+    return comm_mask(policy)
 
 
 def dynamics(alpha_s, alpha_b, params: ModelParams):

@@ -318,9 +318,8 @@ def _lockstep(policy, params: ModelParams, s0: State, horizon: int,
     side = reach.n_ages
     action_rng = None
     if isinstance(policy, np.ndarray):
-        check_policy_grid(policy, params)
         # the state's action, whichever action led there
-        comm = policy[:side, :side] == Action.COMM
+        comm = check_policy_grid(policy, params)[:side, :side]
         carry = np.stack([comm, comm], axis=-1).ravel()
     elif isinstance(policy, AlternatingPolicy):
         # slot k plays k % 2, so a slot that played a is followed by 1 - a

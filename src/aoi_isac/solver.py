@@ -13,7 +13,8 @@ anchor system is upper triangular with a narrow band but for a thin left
 border, and one solve takes it: back-substitution on the band and a Schur
 system on the border, which on small grids is every column, a dense LU.
 Every loop has a bound. All grids are dense float64 arrays indexed
-[alpha_s, alpha_b], policies are int arrays with 0 = sense, 1 = comm.
+[alpha_s, alpha_b]. A policy grid holds 0 = sense, 1 = comm, and every
+reader of one rejects any other cell (``model.comm_mask``).
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import (Action, ModelParams, _backup_tables, check_policy_grid,
-                    delta_grid, q_grids)
+                    comm_mask, delta_grid, q_grids)
 
 
 @dataclass
@@ -194,8 +195,9 @@ def extract_thresholds(policy: np.ndarray) -> tuple[np.ndarray, bool]:
     whole row is sense). The returned flag is True when every row is a sense
     block followed by a comm block; any comm-to-sense flip while alpha_s
     ascends clears it, and that row's tau is still the last sense index.
+    A cell that is not an action raises ValueError (``model.comm_mask``).
     """
-    sense = np.asarray(policy) == Action.SENSE
+    sense = ~comm_mask(policy)
     rows = np.arange(sense.shape[0])[:, None]
     tau = np.where(sense, rows, -1).max(axis=0, initial=-1)
     single_crossing_ok = bool((sense.sum(axis=0) == tau + 1).all())
@@ -317,11 +319,9 @@ def evaluate_policy(policy: np.ndarray, params: ModelParams) -> np.ndarray:
     reads the row below, one column on. So V is bit for bit the per-state
     recursion taken in reverse row-major order.
     """
-    policy = np.asarray(policy)
-    check_policy_grid(policy, params)
+    comm = check_policy_grid(policy, params)
     n, top = params.n_ages, params.a_max
     succ, success_prob, _, cost = _backup_tables(params)
-    comm = policy == Action.COMM
     p = np.where(comm, success_prob[Action.COMM], success_prob[Action.SENSE])
     g = np.where(comm, cost[Action.COMM], cost[Action.SENSE]).astype(float, copy=False)
     q = params.gamma * (1.0 - p)

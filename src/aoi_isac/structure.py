@@ -2,7 +2,8 @@
 
 Each check is a pure predicate on the grid it tests, returning a
 StructureReport: V, its Q grids as q_grids stacks them, the action
-difference d = Q_sense - Q_comm, a policy or its switching curve.
+difference d = Q_sense - Q_comm, a policy (read by model.comm_mask, which
+rejects a cell that is not an action with ValueError) or its switching curve.
 run_all_checks derives Q and d from V, each once, and runs the six checks
 that a solved (V, policy) pair passes: coordinatewise monotonicity of V,
 increasing differences of V and of both Q grids, single-crossing and
@@ -38,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .model import Action, ModelParams, delta_grid, q_grids
+from .model import ModelParams, comm_mask, delta_grid, q_grids
 from .solver import extract_thresholds
 
 DEFAULT_TOL = 1e-9
@@ -159,11 +160,11 @@ def check_q_submodular(Q: np.ndarray, tol: float = DEFAULT_TOL) -> StructureRepo
 
 def check_greedy(d: np.ndarray, policy: np.ndarray,
                  tol: float = DEFAULT_TOL) -> StructureReport:
-    """The policy is greedy for the action difference d: comm where d > 0,
-    sense elsewhere. Violations list each state that breaks this rule and
-    whose d exceeds tol in magnitude, as (alpha_s, alpha_b, delta)."""
+    """Comm where the action difference d > 0, sense elsewhere: the policy
+    is greedy for d. Violations list each state off this rule where |d| >
+    tol, as (alpha_s, alpha_b, delta); a non-action cell raises ValueError."""
     d = np.asarray(d, dtype=float)
-    wrong = (np.asarray(policy) != (d > 0)) & (np.abs(d) > tol)
+    wrong = (comm_mask(policy) != (d > 0)) & (np.abs(d) > tol)
     return StructureReport("greedy", _listed(wrong, d), tol)
 
 
@@ -178,11 +179,10 @@ def check_single_crossing(policy: np.ndarray) -> StructureReport:
     """Each policy row (fixed alpha_b, alpha_s ascending) must be a sense
     block followed by a comm block; violations list every comm-to-sense flip
     as (alpha_b, alpha_s)."""
-    policy = np.asarray(policy)
-    # flips[i, j]: comm at (alpha_s = i, alpha_b = j), sense at i + 1; the
-    # transpose lists them column by column, as (alpha_b, alpha_s)
-    flips = (policy[1:] == Action.SENSE) & (policy[:-1] == Action.COMM)
-    b, s = np.nonzero(flips.T)
+    comm = comm_mask(policy)
+    # the flips, comm at (alpha_s = i, alpha_b = j) and sense at i + 1, from
+    # the transpose: column by column, as (alpha_b, alpha_s)
+    b, s = np.nonzero((comm[:-1] & ~comm[1:]).T)
     violations = list(zip(b.tolist(), (s + 1).tolist()))
     return StructureReport("single_crossing", violations, tolerance=0.0,
                            region="policy rows, alpha_s ascending")

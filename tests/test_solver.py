@@ -13,6 +13,8 @@ from aoi_isac.model import (MAX_VALUE_BOUND, Action, ModelParams, delta_grid,
 from aoi_isac.solver import (_improve, bellman_backup, evaluate_policy,
                              extract_policy, extract_thresholds, solve,
                              value_iteration)
+from aoi_isac.sim import estimate_value, trajectory_csv_lines
+from aoi_isac.structure import check_greedy, check_single_crossing, run_all_checks
 from reference import (_linear_systems, exhaustive_policy_oracle,
                        policy_iteration, q_value)
 
@@ -234,17 +236,60 @@ def test_evaluate_policy_rejects_a_policy_of_the_wrong_shape():
         evaluate_policy(np.zeros((5, 5), dtype=int), make(a_max=5))
 
 
+def policy_readers(p):
+    """Every reader of a policy grid, as a function of the grid alone that
+    returns what it read in a form that compares with ==: the value of
+    ``evaluate_policy`` and of ``estimate_value`` with its first trajectory,
+    the thresholds, and the reports of the checks against p's solved V."""
+    V = solve(p)[0]
+    d = delta_grid(V, p)
+
+    def simulated(policy):
+        est = estimate_value(policy, p, (1, 1), n=10, horizon=5, seed=0)
+        return est, trajectory_csv_lines(est.trajectory, p)
+
+    def thresholds(policy):
+        tau, single_crossing_ok = extract_thresholds(policy)
+        return tau.dtype, tau.tolist(), single_crossing_ok
+
+    return {
+        "evaluate_policy": lambda pi: evaluate_policy(pi, p).tobytes(),
+        "estimate_value": simulated,
+        "extract_thresholds": thresholds,
+        "check_single_crossing": lambda pi: check_single_crossing(pi).to_dict(),
+        "check_greedy": lambda pi: check_greedy(d, pi).to_dict(),
+        "run_all_checks": lambda pi: [r.to_dict() for r in run_all_checks(V, pi, p)],
+    }
+
+
 @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
 def test_evaluate_policy_rejects_a_cell_that_is_not_an_action(bad):
-    # a grid of 2s was evaluated as all-sense, though extract_thresholds
-    # reads it as all-comm
+    # every reader takes its actions from model.comm_mask. A grid of 2s was
+    # evaluated and simulated as all-sense, though extract_thresholds and
+    # check_single_crossing read it as all-comm and single-crossing
     p = make()
-    with pytest.raises(ValueError, match=r"cell \(alpha_s, alpha_b\) = \(0, 0\) is "):
-        evaluate_policy(np.full(p.grid_shape, bad), p)
     policy = solve(p)[1].astype(float)
     policy[7, 3] = policy[9, 1] = bad
-    with pytest.raises(ValueError, match=rf"\(7, 3\) is {float(bad)}, not 0 \(sense\) or 1"):
-        evaluate_policy(policy, p)
+    for read in policy_readers(p).values():
+        with pytest.raises(ValueError,
+                           match=r"cell \(alpha_s, alpha_b\) = \(0, 0\) is "):
+            read(np.full(p.grid_shape, bad))
+        with pytest.raises(ValueError,
+                           match=rf"\(7, 3\) is {float(bad)}, not 0 \(sense\) or 1"):
+            read(policy)
+
+
+def test_every_reader_reads_a_policy_of_any_dtype_alike():
+    p = make()
+    solved = solve(p)[1]
+    moved = solved.copy()
+    moved[0] = Action.COMM  # single-crossing, greedy and threshold violations
+    readers = policy_readers(p)
+    for policy in (solved, moved):
+        for name, read in readers.items():
+            expected = read(policy)
+            for dtype in (bool, np.int64, float):
+                assert read(policy.astype(dtype)) == expected, (name, dtype)
 
 
 # The step walk drops fail-chain weights below this fixed cut-off. It lies

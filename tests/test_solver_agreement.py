@@ -105,3 +105,27 @@ def test_other_report_fields_and_missing_files_are_found(tmp_path):
     assert findings == [
         f"simulate/simulate_report.json: only in {tmp_path / 'base'}",
         "solve/solve_report.json: ['tau'] differ"]
+
+
+def test_main_prints_identical_or_agree_with_the_counts(tmp_path, capsys):
+    base, changed = tmp_path / "base", tmp_path / "changed"
+    write_tree(base)
+    write_tree(changed)
+    assert solver_agreement.main([str(base), str(changed)]) == 0
+    assert capsys.readouterr().out == "identical: 6 artifacts\n"
+    shutil.rmtree(changed)
+    write_tree(changed, shift=BOUND / 2, iterations=8)
+    assert solver_agreement.main([str(base), str(changed)]) == 0
+    assert capsys.readouterr().out == "agree: 6 artifacts, 3 differ\n"
+
+
+def test_an_empty_directory_or_a_file_against_a_directory_is_found(tmp_path):
+    base, changed = tmp_path / "base", tmp_path / "changed"
+    write_tree(base)
+    write_tree(changed)
+    (base / "solve" / "empty").mkdir()
+    (base / "x").write_text("0\n")
+    (changed / "x").mkdir()
+    (changed / "x" / "y").write_text("0\n")
+    assert solver_agreement.compare(base, changed) == [
+        f"solve/empty: only in {base}", f"x/y: only in {changed}", "x: differs"]
