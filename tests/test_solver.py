@@ -10,10 +10,10 @@ import pytest
 from aoi_isac import solver
 from aoi_isac.model import (MAX_VALUE_BOUND, Action, ModelParams, delta_grid,
                             dynamics)
+from aoi_isac.sim import estimate_value, trajectory_csv_lines
 from aoi_isac.solver import (_improve, bellman_backup, evaluate_policy,
                              extract_policy, extract_thresholds, solve,
                              value_iteration)
-from aoi_isac.sim import estimate_value, trajectory_csv_lines
 from aoi_isac.structure import check_greedy, check_single_crossing, run_all_checks
 from reference import (_linear_systems, exhaustive_policy_oracle,
                        policy_iteration, q_value)
