@@ -31,12 +31,13 @@
 # policies: the simulator's tables then stop at age max(s0) + horizon,
 # below a_max. A leg on the policy reader's general path copies the
 # reference solve with one policy.csv row rewritten as "+1" and " 0"
-# cells, and runs `simulate --policy-file` and `verify` on it. A leg on
-# the policy reader's array parser does the same with a row rewritten as
-# "00", "01" and "-0" cells, which it reads through its 24-byte window,
-# and again with one "2" cell, where both commands exit 2. A leg on
-# the value reader's line path copies the reference solve with value.csv
-# rows rewritten into text no write produces (row 3's cells cut to four
+# cells and the next as "-0" cells (the array parser takes no sign), and
+# runs `simulate --policy-file` and `verify` on it. A leg on the policy
+# reader's array parser does the same with a row rewritten as "01", "00"
+# and "0" cells, which it reads through its 24-byte window, and again
+# with one "2" cell, where both commands exit 2. A leg on the value
+# reader's line path copies the reference solve with value.csv rows
+# rewritten into text no write produces (row 3's cells cut to four
 # decimals, a 1.5e1 cell in row 7, a "+" sign in row 9), which the array
 # parser turns down, and runs `verify` on it. Three legs copy the
 # reference solve into grids that fail the verdict, so the violation lists
@@ -133,22 +134,23 @@ run_side() {
                 --output.directory="$workload/sweep"
         done
         # the policy reader's general path: the reference solve with row 5
-        # of policy.csv rewritten as "+1" and " 0" cells, which int() reads
+        # of policy.csv rewritten as "+1" and " 0" cells and row 6 as "-0"
+        # cells, which int() reads
         mkdir -p edges/signed_cells
         cp reference/solve/value.csv edges/signed_cells/
-        sed '/^5,/{s/,1/,+1/g;s/,0/, 0/g}' reference/solve/policy.csv \
-            > edges/signed_cells/policy.csv
+        sed -E '/^5,/{s/,1/,+1/g;s/,0/, 0/g};/^6,/s/,0\b/,-0/g' \
+            reference/solve/policy.csv > edges/signed_cells/policy.csv
         reference=("${model[@]}" --model.gamma=0.95 --model.a_max=30
                    --sim.n=10000 --sim.horizon=400 --sim.s0=1,1)
         aoi simulate --policy-file=edges/signed_cells/policy.csv "${reference[@]}" \
             --sim.seed=1 --output.directory=edges/signed_cells_simulate
         aoi verify "${reference[@]}" --output.directory=edges/signed_cells
         # the policy reader's array parser: row 5 rewritten as "01", "00"
-        # and "-0" cells, then a copy whose last cell in row 5 is "2"
+        # and "0" cells, then a copy whose last cell in row 5 is "2"
         mkdir -p edges/short_policy_cells edges/short_policy_cells_2
         cp reference/solve/value.csv edges/short_policy_cells/
         cp reference/solve/value.csv edges/short_policy_cells_2/
-        sed -E '/^5,/{s/,1/,01/g;s/,0\b/,-0/g;s/,-0,/,00,/}' \
+        sed -E '/^5,/{s/,1/,01/g;s/,0,/,00,/}' \
             reference/solve/policy.csv > edges/short_policy_cells/policy.csv
         sed '/^5,/s/,0$/,2/' reference/solve/policy.csv \
             > edges/short_policy_cells_2/policy.csv

@@ -18,10 +18,11 @@ significant digits of "%.17g" as one integer, round_half_even(m 5^k
 2^(e + k)) for x = m 2^e, from uint64 arithmetic (P mod 2^64) and a
 float64 estimate of the high bits: the fixed-precision conversion of
 Adams, "Ryu revisited: printf floating point conversion" (OOPSLA 2019), on
-arrays. The digits, the dot and the sign go into a fixed-width byte array,
-and one mask keeps the columns that "%.17g" writes. It covers 0, -0.0 and
-magnitudes in [1e-4, 1e16), where "%.17g" uses fixed notation; a block
-holding any other cell (1e16, 5e-324, nan, 2^62) is written by one
+arrays. The digits and the dot go into a fixed-width byte array, and one
+mask keeps the columns that "%.17g" writes. The kernel takes unsigned
+cells only, +0.0 and [1e-4, 1e16), where "%.17g" writes no sign and uses
+fixed notation (a value grid's costs are nonnegative); a block holding
+any other cell (-0.0, -7, 1e16, 5e-324, nan, 2^62) is written by one
 precomposed "%.17g" format over its values. The PGM writer looks each
 level's text up in a byte table and drops the padding with one mask; a
 grid that is not finite, or whose range overflows, raises ValueError.
@@ -31,22 +32,23 @@ value.csv's real 1.0 and of policy.csv's action 1 is the same "1"), which
 returns the grid in the dtype its caller keeps, float64 or an int8 grid
 of 0 and 1, and has two paths. An array parser reads a file in the
 writers' layout, with no strtod: its blocks of whole rows are numpy arrays
-of the file's bytes, where one scan finds the separators, signs and dots,
-each cell's last 24 bytes are gathered as three little-endian words, and
-SWAR multiply-shifts (Lemire, "Number parsing at a gigabyte per second",
+of the file's bytes, where one scan finds the separators and dots, each
+cell's last 24 bytes are gathered as three little-endian words, and SWAR
+multiply-shifts (Lemire, "Number parsing at a gigabyte per second",
 SP&E 51(8), 2021) turn them into an integer significand N and a count f of
 fraction digits. The estimate N / 10^f of a real cell is certified by the
 writer's kernel: a double whose 17 digits are the cell's is the correctly
 rounded value, since the 17th digit's unit is below the spacing of doubles
 in [1e-4, 1e16); an estimate one ulp off (from rounding N above 2^53) is
 stepped once toward the cell. Any other file goes whole to the line
-reader: a line outside the layout, a real cell that is not 0 and not
-certified in that range, an integer cell other than 0 and 1. The line
-reader checks each data line's length and index, then converts its cells
-with one numpy call, which reads every cell as float() or int() does, and
-checks a policy's cells for 0 and 1 once the whole file is read; so what
-either path accepts and every error are those of float() and int(), and
-an error names the first malformed line in file order.
+reader: a line outside the layout (a signed cell among them, as the
+kernel writes none), a real cell that is not 0 and not certified in that
+range, an integer cell other than 0 and 1. The line reader checks each
+data line's length and index, then converts its cells with one numpy
+call, which reads every cell as float() or int() does, and checks a
+policy's cells for 0 and 1 once the whole file is read; so what either
+path accepts and every error are those of float() and int(), and an
+error names the first malformed line in file order.
 """
 
 from __future__ import annotations
@@ -73,35 +75,35 @@ _POW10 = np.array([float(10 ** k) for k in range(23)])
 _ONES64 = np.uint64(2 ** 64 - 1)
 _E9, _E17 = np.uint64(10 ** 9), np.uint64(10 ** 17)
 # A kernel cell's text is laid out in _WIDTH columns, then the columns it
-# does not use are dropped: 0 the sign, 1-5 "0.000" (what precedes the
-# digits when the exponent X < 0), 6-23 the 17 digits with the dot after
-# digit X (or, for X < 0, the digits from column 7), 24 the separator.
-_WIDTH = 25
-_TEMPLATE = np.frombuffer(b"-0.000" + b"\0" * 18 + b",", dtype=np.uint8)
+# does not use are dropped: 0-4 "0.000" (what precedes the digits when the
+# exponent X < 0), 5-22 the 17 digits with the dot after digit X (or, for
+# X < 0, the digits from column 6), 23 the separator.
+_WIDTH = 24
+_TEMPLATE = np.frombuffer(b"0.000" + b"\0" * 18 + b",", dtype=np.uint8)
 _DIGIT_INDEX = np.arange(17, dtype=np.uint8)[:, None]
 
 
 def _fixed_masks() -> np.ndarray:
     """The columns that a cell with exponent X (-4..15) and last nonzero
-    digit `last` (0..16) keeps, less the sign, at row (X + 4) * 17 + last."""
+    digit `last` (0..16) keeps, at row (X + 4) * 17 + last."""
     col = np.arange(_WIDTH)
     X = np.arange(-4, 16)[:, None, None]
     last = np.arange(17)[None, :, None]
     # for X < 0 "0." and -X - 1 zeros, then the digits up to the last
     # nonzero one; otherwise the X + 1 integer digits, and the dot and the
     # fraction digits when a nonzero one follows them
-    first = np.where(X < 0, 7, 6)
-    end = np.where((X < 0) | (last > X), 7 + last, 6 + X)
+    first = np.where(X < 0, 6, 5)
+    end = np.where((X < 0) | (last > X), 6 + last, 5 + X)
     keep = (((first <= col) & (col <= end)) | (col == _WIDTH - 1)
-            | ((X < 0) & (1 <= col) & (col <= 1 - X)))
+            | ((X < 0) & (col <= -X)))
     return keep.reshape(-1, _WIDTH)
 
 
 _FIXED_MASKS = _fixed_masks()
 # The array parser's tables. _LAYOUT: the bytes other than digits that a
-# row may hold, "\n" (10), "," (44), "-" (45) and "." (46).
+# row may hold, "\n" (10), "," (44) and "." (46).
 _LAYOUT = np.zeros(256, bool)
-_LAYOUT[list(b"\n,-.")] = True
+_LAYOUT[list(b"\n,.")] = True
 # comment lines of printable ASCII, then the header and its labels
 _HEAD = re.compile(rb"((?:#[ -~]*\n)*)" + re.escape(CORNER.encode())
                    + rb"((?:,[0-9]+)*)\n")
@@ -182,8 +184,8 @@ def _real_blocks(grid: np.ndarray):
     """The data lines of a real grid, as fmt_real writes its cells, in
     blocks of whole rows: each one float64 array whose column 0 is the row
     index, an integer whose "%.17g" text is its "%d" text. A block whose
-    cells are all 0 or between 1e-4 and 1e16 in magnitude goes through the
-    17-digit kernel, any other through one precomposed "%.17g" format.
+    cells are all +0.0 or in [1e-4, 1e16) goes through the 17-digit kernel,
+    any other (a signed one among them) through one "%.17g" format.
     """
     n = grid.shape[0]
     row_fmt = ",".join(["%.17g"] * (n + 1)) + "\n"
@@ -192,8 +194,7 @@ def _real_blocks(grid: np.ndarray):
         x = np.empty((min(step, n - lo), n + 1))
         x[:, 0] = np.arange(lo, lo + len(x))
         x[:, 1:] = grid[lo:lo + len(x)]
-        a = np.abs(x)
-        if (((a >= 1e-4) & (a < 1e16)) | (a == 0)).all():
+        if not np.signbit(x).any() and ((x == 0) | (x >= 1e-4) & (x < 1e16)).all():
             yield _fixed17_text(x)
         else:
             yield (row_fmt * len(x)) % tuple(x.ravel().tolist())
@@ -201,10 +202,11 @@ def _real_blocks(grid: np.ndarray):
 
 def _fixed17_text(x: np.ndarray) -> str:
     """The cells of the rows of x, as "%.17g" writes them, each followed by
-    "," or, at the end of its row, a newline. Every cell is 0 or has a
-    magnitude in [1e-4, 1e16), where "%.17g" uses fixed notation."""
+    "," or, at the end of its row, a newline. Every cell is +0.0 or in
+    [1e-4, 1e16), where "%.17g" writes no sign and uses fixed notation;
+    x's 0 cells are overwritten."""
     cells = x.size
-    a = np.abs(x.ravel())
+    a = x.ravel()
     zero = np.flatnonzero(a == 0)
     a[zero] = 1.0
     N, X = _sig17(a)
@@ -227,14 +229,12 @@ def _fixed17_text(x: np.ndarray) -> str:
     column = text.T
     # every digit one column right, as the fraction digits stand; then the
     # integer digits move left over the dot's column and the dot follows
-    column[7:24] = digits
+    column[6:23] = digits
     for c in range(min(int(X.max()) + 2, 17)):
-        np.copyto(column[6 + c], digits[c], where=X >= c)
-        np.copyto(column[6 + c], ord("."), where=X == c - 1)
+        np.copyto(column[5 + c], digits[c], where=X >= c)
+        np.copyto(column[5 + c], ord("."), where=X == c - 1)
     text.reshape(-1, x.shape[-1], _WIDTH)[:, -1, -1] = ord("\n")
     keep = _FIXED_MASKS.take((X + 4) * 17 + last, axis=0)
-    # (np.signbit into the strided column skips cells in numpy 2.4)
-    keep[:, 0] = np.signbit(x.ravel())
     return text[keep].tobytes().decode("ascii")
 
 
@@ -381,13 +381,13 @@ def _parse_grid(path: Path, integer: bool):
     parser; None for any other file, or one that cannot be read.
 
     The layout: comment lines of printable ASCII, the header, then n rows
-    "i,c,...,c" with n cells -?digits[.digits], each line ending in a
-    newline. A real cell must be 0 or certified in [1e-4, 1e16), an integer
-    cell 0 or 1, which goes straight into the int8 grid. Blocks hold a
-    quarter of the writer's cells: the parser's working memory is about 250
-    bytes a cell, so a block's arrays stay below 128 KiB (glibc's mmap
-    threshold) and the whole read below 2.5 files of value.csv and 3.5 of
-    policy.csv.
+    "i,c,...,c" with n unsigned cells digits[.digits] (a sign sends the
+    file to the line reader), each line ending in a newline. A real cell
+    must be 0 or certified in [1e-4, 1e16), an integer cell 0 or 1, which
+    goes straight into the int8 grid. Blocks hold a quarter of the writer's
+    cells: the parser's working memory is about 250 bytes a cell, so a
+    block's arrays stay below 128 KiB (glibc's mmap threshold) and the
+    whole read below 2.5 files of value.csv and 3.5 of policy.csv.
     """
     try:
         data = path.read_bytes()
@@ -442,16 +442,8 @@ def _parse_rows(data: bytes, lo: int, hi: int, out, integer: bool) -> bool:
     at_sep = at_sep[:, 1:].ravel()
     e = sp.take(at_sep)
     cells -= rows
-    # a "-" only where a cell starts; and at most one "." in a cell, the
-    # last byte before its end that is not a digit. z: the digits after
-    # the dot, 24 for a cell without one
-    minus = sp[byte == 45]
-    neg = None
-    if minus.size:
-        if (b.take(minus - 1) > 44).any():
-            return False
-        neg = b.take(s) == 45
-        s += neg
+    # at most one "." in a cell, the last byte before its end that is not a
+    # digit. z: the digits after the dot, 24 for a cell without one
     z = np.full(cells, 24)
     dots = np.count_nonzero(byte == 46)
     if dots:
@@ -460,8 +452,8 @@ def _parse_rows(data: bytes, lo: int, hi: int, out, integer: bool) -> bool:
         if integer or np.count_nonzero(dotted) != dots:
             return False
         np.subtract(e, sp.take(prev) + 1, out=z, where=dotted)
-    L = e - s  # the cell's bytes after its sign
-    # (a cell needs a digit: "", "-" and "." have none)
+    L = e - s  # the cell's bytes
+    # (a cell needs a digit: "" and "." have none)
     if (L + np.minimum(z, 1)).min() < 2 or L.max() > 24:
         return False
     # V: each cell's last 24 bytes as three little-endian words, the bytes
@@ -481,8 +473,8 @@ def _parse_rows(data: bytes, lo: int, hi: int, out, integer: bool) -> bool:
         if W[:, 0].max() >= 100:
             return False  # V >= 10^18: more digits than a cell has
         V = (W[:, 0] * _E8 + W[:, 1]) * _E8 + W[:, 2]
-    if integer:  # 0 and 1, and a signed 0
-        if V.max() > 1 or neg is not None and V[neg].any():
+    if integer:  # 0 and 1
+        if V.max() > 1:
             return False
         np.copyto(out, V.reshape(out.shape), casting="unsafe")
         return True
@@ -509,8 +501,6 @@ def _parse_rows(data: bytes, lo: int, hi: int, out, integer: bool) -> bool:
         if (_round17_of(near, X[miss]) != T[miss]).any():
             return False
         values[miss] = near
-    if neg is not None:
-        values[neg] *= -1
     out[:] = values.reshape(out.shape)
     return True
 

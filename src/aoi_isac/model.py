@@ -135,11 +135,14 @@ class ModelParams:
 
 def comm_mask(policy) -> np.ndarray:
     """The comm cells of a policy grid, as a bool grid: True where it plays 1
-    (comm), False where it plays 0 (sense), whatever its dtype. Every reader
-    of a policy grid takes its actions from here, so each rejects a cell
-    that is not an action: ValueError naming the first such cell
-    (alpha_s, alpha_b) and its value."""
+    (comm), False where it plays 0 (sense), whatever its dtype; a bool grid,
+    which holds only actions, is returned as it is. Every reader of a policy
+    grid takes its actions from here, so each rejects a cell that is not an
+    action: ValueError naming the first such cell (alpha_s, alpha_b) and
+    its value."""
     policy = np.asarray(policy)
+    if policy.dtype == bool:
+        return policy
     comm = policy == Action.COMM
     bad = (policy != Action.SENSE) != comm  # neither sense nor comm
     if bad.any():

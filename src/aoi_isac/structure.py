@@ -191,18 +191,20 @@ def check_single_crossing(policy: np.ndarray) -> StructureReport:
 def run_all_checks(V: np.ndarray, policy: np.ndarray, params: ModelParams,
                    tol: float = DEFAULT_TOL) -> list[StructureReport]:
     """The full certificate: every structural check on a solved (V, policy)
-    pair, in CHECK_NAMES order, from one Q pair of V (freed after its check)
-    and one action difference. A non-finite V raises ValueError."""
+    pair, in CHECK_NAMES order, from one Q pair of V (freed after its check),
+    one action difference and one comm mask of the policy. A non-finite V
+    raises ValueError."""
     V = np.asarray(V, dtype=float)
     if not np.isfinite(V).all():
         raise ValueError("the value grid has a non-finite cell")
-    tau, _ = extract_thresholds(policy)
+    comm = comm_mask(policy)
+    tau, _ = extract_thresholds(comm)
     reports = [check_monotone(V, tol),
                check_increasing_differences(V, q_grids(V, params), tol)]
     d = delta_grid(V, params)
     return reports + [
         check_delta_monotone(d, params, tol),
-        check_greedy(d, policy, tol),
-        check_single_crossing(policy),
+        check_greedy(d, comm, tol),
+        check_single_crossing(comm),
         check_threshold_monotone(tau),
     ]

@@ -148,34 +148,36 @@ def adversarial_grids():
 
 @pytest.mark.parametrize("name", list(adversarial_grids()))
 def test_adversarial_real_csv_matches_per_cell_formatting(tmp_path, name):
-    grid = adversarial_grids()[name]
-    assert gridio.grid_csv_text(grid, ["c"]) == csv_per_cell(grid, ["c"])
-    # and reads back bit for bit: through the array parser when every cell
-    # is 0 or in [1e-4, 1e16), else through the line reader
+    """Each grid, with random signs, and its magnitudes, so the kernel and
+    the array parser see the same values unsigned."""
+    signed = adversarial_grids()[name]
     path = tmp_path / "v.csv"
-    gridio.write_grid_csv(path, grid, ["c"])
-    back, _ = gridio.read_grid_csv(path)
-    assert back.tobytes() == grid.tobytes()
-    a = np.abs(grid)
-    in_range = (((a >= 1e-4) & (a < 1e16)) | (a == 0)).all()
-    assert (gridio._parse_grid(path, False) is not None) == in_range
+    for grid in (signed, np.abs(signed)):
+        assert gridio.grid_csv_text(grid, ["c"]) == csv_per_cell(grid, ["c"])
+        # and reads back bit for bit: through the array parser when every
+        # cell is +0.0 or in [1e-4, 1e16), else through the line reader
+        gridio.write_grid_csv(path, grid, ["c"])
+        back, _ = gridio.read_grid_csv(path)
+        assert back.tobytes() == grid.tobytes()
+        unsigned = ((grid == 0) | (grid >= 1e-4) & (grid < 1e16)) & ~np.signbit(grid)
+        assert (gridio._parse_grid(path, False) is not None) == unsigned.all()
 
 
 def test_array_parser_reads_a_million_cells_as_float_does(tmp_path):
     """About 10^6 cells written by "%.17g" and read back, against float() of
-    each cell's text: doubles in [1e-4, 1e16) drawn by their bits with
-    random signs, each decade with its neighbours, the exact 17th-digit
-    ties and -0.0. Every grid takes the array parser."""
+    each cell's text: doubles in [1e-4, 1e16) drawn by their bits, each
+    decade with its neighbours, the exact 17th-digit ties and 0. Every grid
+    takes the array parser."""
     rng = np.random.default_rng(26)
     decades = np.array([float(f"1e{k}") for k in range(-4, 17)])
     edges = np.concatenate([decades[:-1], np.nextafter(decades[:-1], np.inf),
-                            np.nextafter(decades[1:], 0), [0.0, -0.0]])
-    ties = adversarial_grids()["ties"].ravel()
+                            np.nextafter(decades[1:], 0), [0.0]])
+    ties = np.abs(adversarial_grids()["ties"].ravel())
     n = 300
     path = tmp_path / "v.csv"
     for k in range(11):
         cells = rng.integers(*np.array([1e-4, 1e16]).view(np.int64), n * n)
-        cells = cells.view(np.float64) * rng.choice([-1.0, 1.0], n * n)
+        cells = cells.view(np.float64)
         if k == 0:
             cells[:edges.size + ties.size] = np.concatenate([edges, ties])
         grid = rng.permutation(cells).reshape(n, n)
@@ -189,10 +191,12 @@ def test_array_parser_reads_a_million_cells_as_float_does(tmp_path):
 
 @pytest.mark.parametrize("cell, parsed", [
     # certified: their 17 digits are those of float(cell)
-    ("2.5", True), ("1.", True), (".5", True), ("-0", True), ("0.000", True),
-    ("-0.000", True), ("000000000000000000012.5", True),
-    # not: 0.1 is 0.10000000000000001, 1e16 and up are outside the range,
-    # and a cell has at most 17 significant digits
+    ("2.5", True), ("1.", True), (".5", True), ("0.000", True),
+    ("000000000000000000012.5", True),
+    # not: a signed cell is outside the layout, 0.1 is 0.10000000000000001,
+    # 1e16 and up are outside the range, and a cell has at most 17
+    # significant digits
+    ("-0", False), ("-0.000", False),
     ("0.1", False), ("0.10000000000000000", False), ("10000000000000002", False),
     ("123456789012345678", False), ("1.23456789012345678", False),
     ("0.000123456789012345678", False),
@@ -264,6 +268,34 @@ def test_grid_writer_peaks_below_two_and_a_half_texts(tmp_path, large_solve, nam
     finally:
         tracemalloc.stop()
     assert peak < 2.5 * path.stat().st_size
+
+
+@pytest.mark.parametrize("edge", [
+    {}, {"a_max": 2}, {"a_max": 300}, {"gamma": 0.0},
+    {"lambda_s": 1.0, "lambda_c": 0.0}, {"lambda_s": 0.0, "lambda_c": 1.0},
+    {"c_s": 0.0, "c_c": 0.0},
+], ids=lambda edge: ",".join(f"{k}={v}" for k, v in edge.items()) or "reference")
+def test_solved_grids_take_the_unsigned_kernel_and_the_array_parser(
+        tmp_path, monkeypatch, large_solve, edge):
+    """A solved value grid is a discounted sum of nonnegative costs: no cell
+    has a sign bit, every block of value.csv goes through the 17-digit
+    kernel, and the array parser reads both files."""
+    if edge == {"a_max": 300}:
+        V, policy = large_solve["value.csv"], large_solve["policy.csv"]
+    else:
+        V, policy, _ = solver.solve(ModelParams(**{
+            "lambda_s": 0.6, "lambda_c": 0.9, "c_s": 0.2, "c_c": 0.1,
+            "gamma": 0.95, "a_max": 30, **edge}))
+    assert not np.signbit(V).any()
+    rows = []  # of each block the kernel writes
+    monkeypatch.setattr(gridio, "_fixed17_text",
+                        lambda x, kernel=gridio._fixed17_text:
+                        rows.append(len(x)) or kernel(x))
+    gridio.write_grid_csv(tmp_path / "value.csv", V, ["c"])
+    gridio.write_grid_csv(tmp_path / "policy.csv", policy, ["c"])
+    assert sum(rows) == len(V)
+    assert gridio._parse_grid(tmp_path / "value.csv", False) is not None
+    assert gridio._parse_grid(tmp_path / "policy.csv", True) is not None
 
 
 def test_special_reals_round_trip_bit_for_bit(tmp_path):
@@ -670,8 +702,9 @@ def test_array_parser_and_line_reader_agree_on_fuzzed_grids(tmp_path, monkeypatc
     if integer:
         grid = rng.integers(0, 2, size=(5, 5))
     else:
-        grid = rng.uniform(-50.0, 50.0, size=(5, 5))
-        grid[1, 2], grid[3, 4], grid[4, 0] = 0.0, -0.0, 0.5
+        # unsigned, as the array parser takes it; the fuzz inserts signs
+        grid = rng.uniform(0.0, 50.0, size=(5, 5))
+        grid[1, 2], grid[4, 0] = 0.0, 0.5
     grid[0, -1] = 1  # row 0 ends in "1", so a newline before it starts row 1
     read = gridio.read_policy_csv if integer else gridio.read_grid_csv
     per_cell = policy_per_cell if integer else value_per_cell

@@ -12,7 +12,7 @@ import itertools
 import numpy as np
 import pytest
 
-from aoi_isac import structure
+from aoi_isac import solver, structure
 from aoi_isac.model import ModelParams, delta_grid, q_grids
 from aoi_isac.solver import extract_policy, value_iteration
 from aoi_isac.structure import (check_delta_monotone, check_greedy,
@@ -306,6 +306,26 @@ def test_run_all_checks_builds_q_and_delta_once_each(monkeypatch):
         monkeypatch.setattr(structure, name, counted(name))
     run_all_checks(V, policy, p)
     assert sorted(calls) == ["delta_grid", "q_grids"]
+
+
+def test_run_all_checks_reads_the_policy_once(monkeypatch):
+    """One comm_mask check of the int8 policy, whose bool mask the three
+    policy checks share (a bool grid holds only actions)."""
+    p = make(a_max=12)
+    V, policy, _ = value_iteration(p, tol=1e-9)
+    assert policy.dtype == np.int8
+    checked = []
+
+    def counted(grid, comm_mask=structure.comm_mask):
+        if np.asarray(grid).dtype != bool:
+            checked.append(grid)
+        return comm_mask(grid)
+
+    monkeypatch.setattr(solver, "comm_mask", counted)
+    monkeypatch.setattr(structure, "comm_mask", counted)
+    for _ in range(2):
+        run_all_checks(V, policy, p)
+    assert len(checked) == 2
 
 
 @pytest.mark.parametrize("kind", ["nan", "inf", "nan_from_row_6"])
