@@ -176,8 +176,8 @@ def test_array_parser_reads_a_million_cells_as_float_does(tmp_path):
     n = 300
     path = tmp_path / "v.csv"
     for k in range(11):
-        cells = rng.integers(*np.array([1e-4, 1e16]).view(np.int64), n * n)
-        cells = cells.view(np.float64)
+        bits = rng.integers(*np.array([1e-4, 1e16]).view(np.int64), n * n)
+        cells = bits.view(np.float64)
         if k == 0:
             cells[:edges.size + ties.size] = np.concatenate([edges, ties])
         grid = rng.permutation(cells).reshape(n, n)
